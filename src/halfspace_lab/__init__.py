@@ -24,9 +24,7 @@ from .oracles import (
     SmallClassOracle,
     WhiteBoxView,
     estimate_error,
-    localized_query,
     localized_query_batch,
-    smoothed_query,
     smoothed_query_batch,
 )
 from .estimation import (

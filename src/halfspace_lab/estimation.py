@@ -168,21 +168,17 @@ def empirical_projected_chow(
 
     ``query_fn`` maps an (m, d) batch of points to +-1 labels (and is
     expected to charge the oracle ledger).  With ``exclude`` given, the
-    component along it is projected out of each z before averaging, so
-    the result is orthogonal to ``exclude`` up to roundoff.
+    component along it is projected out of the average, which equals the
+    average of the projected z by linearity; the result is orthogonal to
+    ``exclude`` up to roundoff.
     """
     Z = np.atleast_2d(np.asarray(points, dtype=float))
     m = Z.shape[0]
     if m < 1:
         raise ValueError("need at least one sample")
+    labels = np.asarray(query_fn(Z), dtype=float)
+    g = Z.T @ labels / m
     if exclude is not None:
         exclude = np.asarray(exclude, dtype=float)
-        Zp = Z - np.outer(Z @ exclude, exclude)
-    else:
-        Zp = Z
-    labels = np.asarray(query_fn(Z), dtype=float)
-    g = Zp.T @ labels / m
-    if exclude is not None:
-        # kill the residual roundoff component explicitly
         g = g - np.dot(g, exclude) * exclude
     return g

@@ -191,7 +191,9 @@ def sqrt_localization_apply(v: np.ndarray, sigma: float, z: np.ndarray) -> np.nd
     z = np.asarray(z, dtype=float)
     if z.ndim == 1:
         return z - (1.0 - sigma) * float(np.dot(v, z)) * v
-    return z - (1.0 - sigma) * np.outer(z @ v, v)
+    out = (z @ v)[:, None] * ((sigma - 1.0) * np.asarray(v, dtype=float))
+    out += z
+    return out
 
 
 def localize_halfspace(h: Halfspace, v: np.ndarray, s: float, sigma: float) -> Halfspace:

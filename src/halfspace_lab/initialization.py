@@ -184,8 +184,8 @@ def angle_test(
     t: float,
     b: float,
     delta: float,
+    rng: np.random.Generator,
     cfg: InitConfig | None = None,
-    rng: np.random.Generator | None = None,
     small_class: SmallClassOracle | None = None,
     p_hat: float | None = None,
 ) -> bool:
@@ -197,8 +197,6 @@ def angle_test(
     is usable as a localization scale.
     """
     cfg = cfg or InitConfig()
-    if rng is None:
-        rng = np.random.default_rng(0)
     if not (0.0 < b < 1.0):
         raise ValueError("b must lie in (0, 1)")
     if t <= 1.0:
@@ -265,15 +263,13 @@ def init_extreme(
     epsilon: float,
     p_hat: float,
     delta: float,
+    rng: np.random.Generator,
     cfg: InitConfig | None = None,
-    rng: np.random.Generator | None = None,
     small_class: SmallClassOracle | None = None,
 ) -> np.ndarray:
     """Warm start for large thresholds: smoothed-Chow start plus a few
     localized gradient rounds at a scale certified by the angle test."""
     cfg = cfg or InitConfig()
-    if rng is None:
-        rng = np.random.default_rng(0)
     w = init_unextreme(oracle, t, epsilon, delta, cfg, small_class)
     eta = epsilon / p_hat
     if not (0.0 < eta < 1.0):
@@ -289,7 +285,7 @@ def init_extreme(
         b_sweep = 2.0 * sigma_i
         while b_sweep >= 1.0 / t and b_sweep > 0.0:
             if b_sweep < 1.0 and angle_test(
-                oracle, w, t, b_sweep, delta, cfg, rng, small_class, p_hat
+                oracle, w, t, b_sweep, delta, rng, cfg, small_class, p_hat
             ):
                 b_hat = b_sweep
                 break

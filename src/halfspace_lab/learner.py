@@ -20,7 +20,7 @@ from .estimation import (
     BudgetExceeded,
     estimate_bias_doubling,
 )
-from .geometry import Halfspace, halfspace_bias, threshold_for_bias
+from .geometry import AngleDecomposition, Halfspace, decompose, halfspace_bias, threshold_for_bias
 from .initialization import (
     InitConfig,
     InitFailure,
@@ -38,11 +38,14 @@ __all__ = [
     "learn",
     "learn_with_noise_ladder",
     "tournament",
+    "sample_disagreement",
     "constant_plus_one_hypothesis",
 ]
 
 # threshold far enough out that the hypothesis is +1 on any realistic sample
 _CONSTANT_T = 40.0
+# fewest disagreement points a tournament pair needs to be voted on
+MIN_DISAGREEMENT = 10
 
 
 def constant_plus_one_hypothesis(dim: int) -> Halfspace:
@@ -94,6 +97,10 @@ class RunReport:
     rounds: int
     candidates: list
     flipped: bool = False
+    # started init+refine attempts, and those that ended without a candidate
+    attempts: int = 0
+    init_failures: int = 0
+    offset_failures: int = 0
 
 
 class _FlippedOracle:
@@ -116,8 +123,8 @@ class _FlippedOracle:
     def query_batch(self, X):
         return -self._inner.query_batch(X)
 
-    def gaussian_points(self, n):
-        return self._inner.gaussian_points(n)
+    def gaussian_points(self, n, dim=None):
+        return self._inner.gaussian_points(n, dim)
 
 
 def _inverse_mills(t: float) -> float:
@@ -148,6 +155,53 @@ def _bias_from_small_class(small_class: SmallClassOracle, n: int) -> BiasEstimat
     return BiasEstimate("bracket", 0.5 * halfspace_bias(t_est), 0)
 
 
+def sample_disagreement(
+    h1: Halfspace,
+    h2: Halfspace,
+    oracle: MembershipOracle,
+    m: int,
+    attempt_cap: int,
+) -> np.ndarray | None:
+    """Up to m Gaussian points on which h1 and h2 disagree.
+
+    Proposals are standard normal coordinates (p, r) in the orthonormal
+    basis e1 = w1, e2 = the unit part of w2 orthogonal to w1; they are
+    accepted where sign(p + t1) != sign(a p + b r + t2), w2 = a e1 + b e2.
+    The search stops at m hits or attempt_cap proposals.  Only the hits
+    get their other d - 2 coordinates, from fresh Gaussian rows, so each
+    returned point has the law of N(0, I_d) conditioned on disagreement.
+    Returns None below MIN_DISAGREEMENT hits: the disagreement mass is
+    then too small to matter and the pair is interchangeable.
+    """
+    if h1.dim == 1:
+        # no second axis: w2 = +-w1 and r plays no part
+        dec = AngleDecomposition(float(h2.w[0] * h1.w[0]), 0.0, h1.w)
+    else:
+        dec = decompose(h2.w, h1.w)
+    found: list[np.ndarray] = []
+    hits = 0
+    attempts = 0
+    chunk = 4096
+    while hits < m and attempts < attempt_cap:
+        chunk = min(chunk, attempt_cap - attempts)
+        P = oracle.gaussian_points(chunk, dim=2)
+        attempts += chunk
+        p, r = P[:, 0], P[:, 1]
+        mask = (p + h1.t >= 0) != (dec.a * p + dec.b * r + h2.t >= 0)
+        found.append(P[mask])
+        hits += found[-1].shape[0]
+        chunk = min(2 * chunk, 1 << 17)
+    if hits < MIN_DISAGREEMENT:
+        return None
+    P = np.concatenate(found)[:m]
+    # replace the span coordinates of fresh Gaussian rows by (p, r)
+    X = oracle.gaussian_points(P.shape[0])
+    X += (P[:, 0] - X @ h1.w)[:, None] * h1.w
+    if dec.b > 0.0:
+        X += (P[:, 1] - X @ dec.u)[:, None] * dec.u
+    return X
+
+
 def tournament(
     candidates: list[Halfspace],
     oracle: MembershipOracle,
@@ -156,10 +210,13 @@ def tournament(
 ) -> Halfspace:
     """Pick a candidate that loses no pairwise disagreement vote.
 
-    For each pair, points where the two hypotheses disagree are
-    rejection-sampled from the Gaussian and label-queried; a candidate
-    that is wrong on clearly more than half of them takes a loss.  The
-    returned candidate has the fewest losses (first on ties).
+    For each pair, up to m_pair points where the two hypotheses disagree
+    are drawn by ``sample_disagreement`` (rejection in their 2-D span,
+    capped at attempt_cap proposals) and label-queried; a pair with
+    fewer than MIN_DISAGREEMENT such points is skipped.  A
+    candidate that is wrong on clearly more than half of the points
+    takes a loss.  The returned candidate has the fewest losses (first
+    on ties).
     """
     k = len(candidates)
     if k == 0:
@@ -175,22 +232,8 @@ def tournament(
     losses = [0] * k
     for i in range(k):
         for j in range(i + 1, k):
-            found = []
-            attempts = 0
-            chunk = 4096
-            while len(found) < m_pair and attempts < attempt_cap:
-                chunk = min(chunk, attempt_cap - attempts)
-                X = oracle.gaussian_points(chunk)
-                attempts += chunk
-                mask = np.asarray(candidates[i](X)) != np.asarray(candidates[j](X))
-                if np.any(mask):
-                    found.append(X[mask])
-                chunk = min(2 * chunk, 1 << 17)
-            if not found:
-                continue
-            pts = np.concatenate(found)[:m_pair]
-            if pts.shape[0] < 10:
-                # disagreement mass is tiny; the pair is interchangeable
+            pts = sample_disagreement(candidates[i], candidates[j], oracle, m_pair, attempt_cap)
+            if pts is None:
                 continue
             labels = oracle.query_batch(pts)
             wrong_i = float(np.mean(np.asarray(candidates[i](pts)) != labels))
@@ -214,6 +257,8 @@ def learn(
     start = oracle.ledger
     sc_draws0 = small_class.draws if small_class is not None else 0
 
+    attempts = init_failures = offset_failures = 0
+
     def finish(h, verdict, q_bias, q_init, q_refine, q_tour, rounds, cands, flipped):
         if flipped:
             h = h.flipped()
@@ -234,6 +279,9 @@ def learn(
             rounds=rounds,
             candidates=cands,
             flipped=flipped,
+            attempts=attempts,
+            init_failures=init_failures,
+            offset_failures=offset_failures,
         )
 
     # orientation check: the pipeline assumes the negative side is the
@@ -281,12 +329,13 @@ def learn(
             if cfg.budget is not None and oracle.ledger - start >= cfg.budget:
                 hit_budget = True
                 break
+            attempts += 1
             mark = oracle.ledger
             try:
                 if use_extreme_init(t_j, cfg.epsilon, p_hat):
                     w0 = init_extreme(
                         view, t_j, cfg.epsilon, p_hat, cfg.delta,
-                        cfg.init, rng, sc,
+                        rng, cfg.init, sc,
                     )
                 else:
                     w0 = init_unextreme(
@@ -294,6 +343,7 @@ def learn(
                     )
             except InitFailure:
                 q_init += oracle.ledger - mark
+                init_failures += 1
                 continue
             q_init += oracle.ledger - mark
             mark = oracle.ledger
@@ -303,6 +353,7 @@ def learn(
                 )
             except OffsetNotFound:
                 q_refine += oracle.ledger - mark
+                offset_failures += 1
                 continue
             q_refine += oracle.ledger - mark
             rounds += state.round
@@ -368,4 +419,7 @@ def learn_with_noise_ladder(
         rounds=sum(r.rounds for r in reports),
         candidates=pool,
         flipped=base.flipped,
+        attempts=sum(r.attempts for r in reports),
+        init_failures=sum(r.init_failures for r in reports),
+        offset_failures=sum(r.offset_failures for r in reports),
     )

@@ -40,9 +40,7 @@ __all__ = [
     "SmallClassOracle",
     "SmallClassUnreachable",
     "WhiteBoxView",
-    "localized_query",
     "localized_query_batch",
-    "smoothed_query",
     "smoothed_query_batch",
     "estimate_error",
 ]
@@ -179,30 +177,19 @@ class MembershipOracle:
         self.ledger += X.shape[0]
         return self.source.sample_labels(X, self._rng)
 
-    def gaussian_points(self, n: int) -> np.ndarray:
-        """Fresh standard Gaussian points (no ledger cost until queried)."""
-        return self._gauss.standard_normal((n, self.source.dim))
-
-
-def localized_query(oracle: MembershipOracle, v: np.ndarray, s: float, sigma: float, z: np.ndarray) -> int:
-    """Label at A^{1/2} z - s v with A = I - (1 - sigma^2) v v^T."""
-    if not (0.0 < sigma < 1.0):
-        raise ValueError("sigma must lie in (0, 1)")
-    return oracle.query(sqrt_localization_apply(v, sigma, z) - s * np.asarray(v, dtype=float))
+    def gaussian_points(self, n: int, dim: int | None = None) -> np.ndarray:
+        """Fresh standard Gaussian points (no ledger cost until queried),
+        in ``dim`` dimensions (default: the source's)."""
+        return self._gauss.standard_normal((n, self.source.dim if dim is None else dim))
 
 
 def localized_query_batch(oracle: MembershipOracle, v: np.ndarray, s: float, sigma: float, Z: np.ndarray) -> np.ndarray:
+    """Labels at A^{1/2} z - s v with A = I - (1 - sigma^2) v v^T."""
     if not (0.0 < sigma < 1.0):
         raise ValueError("sigma must lie in (0, 1)")
-    return oracle.query_batch(sqrt_localization_apply(v, sigma, Z) - s * np.asarray(v, dtype=float))
-
-
-def smoothed_query(oracle: MembershipOracle, x0: np.ndarray, rho: float, z: np.ndarray) -> int:
-    """Label of the smoothed point sqrt(1 - rho^2) x0 + rho z."""
-    if not (0.0 < rho <= 1.0):
-        raise ValueError("rho must lie in (0, 1]")
-    shift = math.sqrt(max(0.0, 1.0 - rho * rho))
-    return oracle.query(shift * np.asarray(x0, dtype=float) + rho * np.asarray(z, dtype=float))
+    X = sqrt_localization_apply(v, sigma, Z)
+    X -= s * np.asarray(v, dtype=float)
+    return oracle.query_batch(X)
 
 
 def smoothed_query_batch(oracle: MembershipOracle, x0: np.ndarray, rho: float, Z: np.ndarray) -> np.ndarray:

@@ -133,12 +133,12 @@ class TestAngleTest:
     def test_requires_large_threshold(self):
         oracle, _ = make_problem(t=0.5)
         with pytest.raises(ValueError):
-            angle_test(oracle, oracle.source.target.w, 0.5, 0.2, delta=0.1)
+            angle_test(oracle, oracle.source.target.w, 0.5, 0.2, delta=0.1, rng=substream(0, "angle-args"))
 
     def test_rejects_bad_b(self):
         oracle, _ = make_problem(t=2.0)
         with pytest.raises(ValueError):
-            angle_test(oracle, oracle.source.target.w, 2.0, 1.5, delta=0.1)
+            angle_test(oracle, oracle.source.target.w, 2.0, 1.5, delta=0.1, rng=substream(0, "angle-args"))
 
 
 class TestInitExtreme:

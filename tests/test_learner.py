@@ -1,6 +1,9 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
+from scipy.special import ndtr, owens_t
 
 from halfspace_lab.geometry import Halfspace
 from halfspace_lab.learner import (
@@ -8,6 +11,7 @@ from halfspace_lab.learner import (
     constant_plus_one_hypothesis,
     learn,
     learn_with_noise_ladder,
+    sample_disagreement,
     tournament,
 )
 from halfspace_lab.oracles import (
@@ -63,6 +67,14 @@ class TestTournament:
                 wins += 1
         assert wins == 20
 
+    def test_one_dimension(self):
+        w = np.ones(1)
+        oracle = MembershipOracle(CleanLabels(Halfspace(w, 0.3)), seed=0)
+        cands = [Halfspace(-w, 0.1), Halfspace(w, 0.3), Halfspace(w, 0.5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tournament(cands, oracle, 0.05, 0.1) is cands[1]
+
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             tournament([], make_oracle(), 0.05, 0.1)
@@ -73,6 +85,102 @@ class TestTournament:
         winner = tournament(cands, oracle, 0.02, 0.1)
         view = WhiteBoxView(oracle.source)
         assert view.true_error(winner) <= 0.1 + 0.02
+
+
+def disagreement_mass(t1, t2, theta):
+    """Phi(-t1) + Phi(-t2) - 2 Phi_2(-t1, -t2; cos theta), with Owen's T."""
+    h, k = -t1, -t2
+    if theta == 0.0:
+        both = ndtr(min(h, k))
+    elif theta == math.pi:
+        both = max(0.0, ndtr(h) - ndtr(-k))
+    else:
+        rho, s = math.cos(theta), math.sin(theta)
+        # b - rho a = (b - a) + (1 - rho) a, with 1 - rho = 2 sin^2(theta/2)
+        gap = 2.0 * math.sin(theta / 2.0) ** 2
+        beta = 0.0 if (h * k > 0 or (h * k == 0 and h + k >= 0)) else 0.5
+        both = (
+            0.5 * (ndtr(h) + ndtr(k))
+            - owens_t(h, ((k - h) + gap * h) / (h * s))
+            - owens_t(k, ((h - k) + gap * k) / (k * s))
+            - beta
+        )
+    return float(ndtr(h) + ndtr(k) - 2.0 * both)
+
+
+class CountingOracle(MembershipOracle):
+    """Counts the full-dimensional Gaussian rows it hands out."""
+
+    full_rows = 0
+
+    def gaussian_points(self, n, dim=None):
+        if dim is None or dim == self.dim:
+            self.full_rows += n
+        return super().gaussian_points(n, dim)
+
+
+class TestSampleDisagreement:
+    D = 8
+
+    def pair(self, kind, seed):
+        rng = substream(seed, "disagreement-pair")
+        w = unit_vector(rng, self.D)
+        if kind == "near":
+            theta, t1, t2 = math.radians(0.05), 1.0, 1.05
+            return Halfspace(w, t1), Halfspace(rotated_from(w, theta, rng), t2), theta
+        if kind == "parallel":
+            return Halfspace(w, 0.2), Halfspace(w, 0.6), 0.0
+        return Halfspace(w, 0.5), Halfspace(-w, 0.3), math.pi
+
+    @pytest.mark.parametrize("kind,cap", [("near", 200_000), ("parallel", 40_000), ("antipodal", 20_000)])
+    def test_exact_conditional_law(self, kind, cap):
+        h1, h2, theta = self.pair(kind, seed=4)
+        oracle = MembershipOracle(CleanLabels(h1), seed=4)
+        # m = cap: the search never stops early, so the hits count all cap proposals
+        X = sample_disagreement(h1, h2, oracle, cap, cap)
+        assert X.shape[1] == self.D
+        assert np.all(np.asarray(h1(X)) != np.asarray(h2(X)))
+
+        q = disagreement_mass(h1.t, h2.t, theta)
+        se = math.sqrt(q * (1.0 - q) / cap)
+        assert abs(X.shape[0] / cap - q) <= 4.0 * se
+
+        # coordinates in an orthonormal basis of span(w1, w2)'s complement
+        e2 = h2.w - np.dot(h2.w, h1.w) * h1.w
+        basis = [h1.w] if np.linalg.norm(e2) < 1e-12 else [h1.w, e2 / np.linalg.norm(e2)]
+        Q, _ = np.linalg.qr(np.column_stack(basis + [np.eye(self.D)]))
+        C = X @ Q[:, len(basis):]
+        n = X.shape[0]
+        assert np.all(np.abs(C.mean(axis=0)) <= 4.0 / math.sqrt(n))
+        assert np.all(np.abs(C.var(axis=0) - 1.0) <= 4.0 * math.sqrt(2.0 / n))
+
+    def test_stops_at_m_hits(self):
+        h1, h2, _ = self.pair("antipodal", seed=1)
+        oracle = MembershipOracle(CleanLabels(h1), seed=1)
+        assert sample_disagreement(h1, h2, oracle, 50, 10_000).shape == (50, self.D)
+
+    def test_too_few_hits_gives_none(self):
+        w = np.eye(self.D)[0]
+        h = Halfspace(w, 0.0)
+        oracle = MembershipOracle(CleanLabels(h), seed=2)
+        assert sample_disagreement(h, Halfspace(w, 0.0), oracle, 50, 10_000) is None
+
+    def test_tournament_lifts_only_queried_points(self):
+        # an identical pair (no hits), near-identical pairs that find 5 and
+        # 8 points, below MIN_DISAGREEMENT, and pairs with plenty of
+        # disagreement
+        rng = substream(9, "lift-count")
+        w = unit_vector(rng, self.D)
+        cands = [
+            Halfspace(w, 0.0),
+            Halfspace(w, 0.0),
+            Halfspace(rotated_from(w, 1.4e-4, rng), 0.0),
+            Halfspace(rotated_from(w, 0.3, rng), 0.0),
+        ]
+        oracle = CountingOracle(CleanLabels(Halfspace(w, 0.0)), seed=9)
+        tournament(cands, oracle, 0.05, 0.1)
+        assert oracle.ledger > 0
+        assert oracle.full_rows == oracle.ledger
 
 
 class TestLearn:
@@ -93,6 +201,12 @@ class TestLearn:
             + report.queries_tournament
         )
         assert stages == report.total_queries == oracle.ledger
+        # failed attempts are counted too; this learn has some
+        assert report.verdict == "learned"
+        assert report.init_failures + report.offset_failures > 0
+        assert report.attempts == (
+            len(report.candidates) + report.init_failures + report.offset_failures
+        )
 
     def test_tiny_bias_returns_constant(self):
         oracle = make_oracle(t=3.5, d=5, seed=0)
