@@ -227,12 +227,13 @@ def _localized_negative(
     sigma: float,
     epsilon: float,
     small_class: SmallClassOracle | None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """A point z0 whose localized query comes back negative."""
+    """A point z0 whose localized query comes back negative; ``rng``
+    flips the acceptance coins of the small-class route."""
     if small_class is not None:
         # filter small-class draws through the offset-rejection procedure;
         # an accepted x maps back to z0 via the inverse localization
-        rng = small_class._rng
         for _ in range(200):
             X = small_class.draw_batch(64)
             accept = rng.random(X.shape[0]) < rejection_acceptance_prob(w, s, sigma, X)
@@ -310,7 +311,7 @@ def init_extreme(
             return w
         sigma_in = 1.0 / t_s
         rho = 1.0 / t_s
-        z0 = _localized_negative(oracle, w, s, sigma_in, epsilon, small_class)
+        z0 = _localized_negative(oracle, w, s, sigma_in, epsilon, small_class, rng)
         m = math.ceil(cfg.chow_sample_multiplier * d * math.log(1.0 / epsilon))
         Z = oracle.gaussian_points(m)
         shift = math.sqrt(max(0.0, 1.0 - rho * rho))

@@ -15,7 +15,7 @@ code never receives one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -50,6 +50,9 @@ class LabelSource:
     """Randomized labeling rule y(x) with a known optimal halfspace error."""
 
     target: Halfspace
+    # True when the label law depends on x only through the margin w.x,
+    # so the same class with a 1-D target labels margins alone
+    margin_only = False
 
     @property
     def dim(self) -> int:
@@ -68,6 +71,7 @@ class LabelSource:
 @dataclass
 class CleanLabels(LabelSource):
     target: Halfspace
+    margin_only = True
 
     @property
     def opt(self) -> float:
@@ -82,6 +86,7 @@ class RandomFlip(LabelSource):
     """Each label flipped independently with probability ``rate`` < 1/2."""
 
     target: Halfspace
+    margin_only = True
     rate: float
 
     def __post_init__(self):
@@ -108,6 +113,7 @@ class BoundaryBand(LabelSource):
     """
 
     target: Halfspace
+    margin_only = True
     band: float
 
     def __post_init__(self):
@@ -200,53 +206,87 @@ def smoothed_query_batch(oracle: MembershipOracle, x0: np.ndarray, rho: float, Z
 
 
 class SmallClassUnreachable(RuntimeError):
-    """Rejection loop exhausted its attempt cap without a negative point."""
+    """Rejection loop exhausted its attempt cap before collecting the requested points."""
 
 
 @dataclass
 class SmallClassOracle:
     """Sampler of x ~ N(0, I) conditioned on y(x) = -1, by rejection.
 
-    Calls are counted in ``draws``, not in any membership ledger: the
-    oracle models an external supply of minority-class examples.
+    When the source's label law depends on x only through the margin
+    w*.x (``margin_only``), proposals are scalar r ~ N(0, 1) in that
+    coordinate, labelled by the same source class with a 1-D target at
+    the same threshold.  Only accepted r are lifted to
+    x = r w* + g - (g.w*) w* with fresh g ~ N(0, I_d), which is exactly
+    N(0, I) conditioned on y = -1.  Other sources (``RegionFlip``) get
+    full d-dimensional proposals.  Accepted points a call does not
+    return are kept and served first by the next call; they are i.i.d.
+    draws from the same law.
+
+    Returned points are counted in ``draws`` and proposals in
+    ``proposals``, not in any membership ledger: the oracle models an
+    external supply of minority-class examples.
     """
 
     source: LabelSource
     seed: int
     attempt_cap: int = 100_000_000
     draws: int = 0
+    proposals: int = 0
     _rng: np.random.Generator = field(init=False, repr=False)
+    _margin_source: LabelSource | None = field(init=False, repr=False)
+    _surplus: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self._rng = substream(self.seed, "small-class")
+        self._margin_source = None
+        if self.source.margin_only:
+            self._margin_source = replace(self.source, target=Halfspace(np.ones(1), self.source.target.t))
+        self._surplus = np.empty((0, self.source.dim))
 
     def draw(self) -> np.ndarray:
         return self.draw_batch(1)[0]
 
+    def _accepted(self, k: int) -> np.ndarray:
+        """The negative-label points among k fresh proposals."""
+        if self._margin_source is None:
+            X = self._rng.standard_normal((k, self.source.dim))
+            return X[self.source.sample_labels(X, self._rng) == -1]
+        r = self._rng.standard_normal((k, 1))
+        r = r[self._margin_source.sample_labels(r, self._rng) == -1, 0]
+        w = self.source.target.w
+        X = self._rng.standard_normal((r.shape[0], self.source.dim))
+        X += (r - X @ w)[:, None] * w
+        return X
+
     def draw_batch(self, n: int) -> np.ndarray:
-        """n conditional samples; raises SmallClassUnreachable past the cap."""
-        out = np.empty((n, self.source.dim))
-        got = 0
+        """n conditional samples, surplus from earlier calls first.
+
+        Raises SmallClassUnreachable once this call has made
+        ``attempt_cap`` proposals without collecting n points.
+        """
+        parts = [self._surplus]
+        have = self._surplus.shape[0]
         attempts = 0
-        # batch proposals geometrically: cheap when p is moderate, still
-        # few passes when p is tiny
         chunk = max(256, n)
-        while got < n:
+        while have < n:
             if attempts >= self.attempt_cap:
+                self._surplus = np.concatenate(parts)
                 raise SmallClassUnreachable(
-                    f"no negative-label point after {attempts} proposals"
+                    f"{have} of {n} negative-label points after {attempts} proposals"
                 )
+            # batch proposals geometrically: cheap when p is moderate, still
+            # few passes when p is tiny; the overshoot becomes surplus
             chunk = min(chunk, self.attempt_cap - attempts)
-            X = self._rng.standard_normal((chunk, self.source.dim))
-            y = self.source.sample_labels(X, self._rng)
+            parts.append(self._accepted(chunk))
             attempts += chunk
-            hits = X[y == -1]
-            take = min(n - got, hits.shape[0])
-            out[got:got + take] = hits[:take]
-            got += take
+            self.proposals += chunk
+            have += parts[-1].shape[0]
             chunk = min(4 * chunk, 1 << 20)
+        X = np.concatenate(parts)
+        self._surplus = X[n:].copy()
         self.draws += n
-        return out
+        return X[:n]
 
 
 def estimate_error(source: LabelSource, h: Halfspace, m: int, seed: int, tag: str = "eval") -> float:

@@ -26,7 +26,7 @@ from .geometry import (
     threshold_for_bias,
 )
 from .lowerbound import Pool, RandomOrder, play_query_game
-from .oracles import CleanLabels, MembershipOracle, SmallClassOracle
+from .oracles import CleanLabels, MembershipOracle, RandomFlip, SmallClassOracle
 from .rng import substream
 
 __all__ = ["run_selftest", "CHECKS"]
@@ -150,6 +150,14 @@ def _check_small_class() -> None:
     X = sc.draw_batch(200)
     assert np.all(src.sample_labels(X, substream(0, "x")) == -1)
     assert sc.draws == 200
+    # flipped labels: the share of draws on the positive side of the
+    # margin is eta (1 - p) / (eta (1 - p) + (1 - eta) p)
+    eta, p, n = 0.2, 0.05, 2000
+    src = RandomFlip(Halfspace(w, threshold_for_bias(p)), eta)
+    X = SmallClassOracle(src, seed=3).draw_batch(n)
+    q = eta * (1 - p) / (eta * (1 - p) + (1 - eta) * p)
+    share = float(np.mean(src.target.margins(X) >= 0))
+    assert abs(share - q) <= 4 * math.sqrt(q * (1 - q) / n), (share, q)
 
 
 def _check_query_game() -> None:

@@ -133,6 +133,92 @@ class TestSmallClass:
         with pytest.raises(SmallClassUnreachable):
             sc.draw()
 
+    @staticmethod
+    def _mixed_calls(sc, total):
+        """``total`` draws collected over calls of mixed sizes, so that the
+        surplus carried between calls is part of what is checked."""
+        sizes = [1, 64, 400, 2000, 7]
+        parts, got, i = [], 0, 0
+        while got < total:
+            n = min(sizes[i % len(sizes)], total - got)
+            parts.append(sc.draw_batch(n))
+            got += n
+            i += 1
+        return np.concatenate(parts)
+
+    @pytest.mark.parametrize(
+        "source_cls, kwargs, positive_share",
+        [
+            (
+                RandomFlip,
+                {"rate": 0.2},
+                # flipped positives over all negatives
+                lambda t: 0.2 * (1 - halfspace_bias(t))
+                / (0.2 * (1 - halfspace_bias(t)) + 0.8 * halfspace_bias(t)),
+            ),
+            (
+                BoundaryBand,
+                {"band": 0.3},
+                # 0 <= w.x + t <= band over that plus w.x + t < -band
+                lambda t: (halfspace_bias(t - 0.3) - halfspace_bias(t))
+                / (halfspace_bias(t - 0.3) - halfspace_bias(t) + halfspace_bias(t + 0.3)),
+            ),
+            (CleanLabels, {}, lambda t: 0.0),
+        ],
+    )
+    def test_exact_conditional_law_margin_sources(self, rng, source_cls, kwargs, positive_share):
+        d, t, n = 6, 1.0, 40_000
+        w = unit_vector(rng, d)
+        src = source_cls(Halfspace(w, t), **kwargs)
+        X = self._mixed_calls(SmallClassOracle(src, seed=5), n)
+        assert X.shape == (n, d)
+        if source_cls is not RandomFlip:
+            assert np.all(src.sample_labels(X, rng) == -1)
+        share = float(np.mean(X @ w + t >= 0))
+        q = positive_share(t)
+        assert abs(share - q) <= 4 * np.sqrt(q * (1 - q) / n) + 1e-12
+        # the coordinates orthogonal to w* are standard normal
+        Q = np.linalg.qr(np.column_stack([w, rng.standard_normal((d, d - 1))]))[0]
+        C = X @ Q[:, 1:]
+        assert np.all(np.abs(C.mean(axis=0)) <= 4 / np.sqrt(n))
+        assert np.all(np.abs(C.var(axis=0) - 1) <= 4 * np.sqrt(2 / n))
+
+    def test_region_flip_on_other_coordinate(self):
+        # the region reads x_1, which the target e_0 never sees
+        d, t, c, n = 4, 1.0, 0.5, 20_000
+        src = make_oracle(t=t, d=d, source_cls=RegionFlip, region=lambda X: X[:, 1] > c).source
+        X = self._mixed_calls(SmallClassOracle(src, seed=6), n)
+        assert np.all(src.sample_labels(X, substream(9, "check")) == -1)
+        # negatives: (x_0 + t < 0, x_1 <= c) or (x_0 + t >= 0, x_1 > c)
+        inside = (1 - halfspace_bias(t)) * halfspace_bias(c)
+        q = inside / (inside + halfspace_bias(t) * (1 - halfspace_bias(c)))
+        share = float(np.mean(X[:, 1] > c))
+        assert abs(share - q) <= 4 * np.sqrt(q * (1 - q) / n)
+        C = X[:, 2:]
+        assert np.all(np.abs(C.mean(axis=0)) <= 4 / np.sqrt(n))
+        assert np.all(np.abs(C.var(axis=0) - 1) <= 4 * np.sqrt(2 / n))
+
+    def test_single_draws_keep_surplus(self):
+        p = 0.05
+        sc = SmallClassOracle(make_oracle(t=threshold_for_bias(p)).source, seed=3)
+        for _ in range(1000):
+            sc.draw()
+        assert sc.draws == 1000
+        assert sc.proposals <= 2 * 1000 / p
+
+    def test_attempt_cap_counts_per_call(self):
+        # 100 calls need ~100k proposals in all, ~1k each
+        sc = SmallClassOracle(make_oracle(t=threshold_for_bias(0.05)).source, seed=4, attempt_cap=10_000)
+        for _ in range(100):
+            sc.draw_batch(50)
+        assert sc.proposals > 10_000
+        # a call past the cap raises but keeps its ~500 hits for the next
+        with pytest.raises(SmallClassUnreachable):
+            sc.draw_batch(5000)
+        before = sc.proposals
+        sc.draw_batch(100)
+        assert sc.proposals == before
+
 
 class TestEvaluation:
     def test_estimate_error_zero_for_target(self):
