@@ -17,8 +17,10 @@ import ast
 import dataclasses
 import itertools
 import json
+import math
 import sys
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,32 +52,9 @@ __all__ = ["main", "run_scenario", "Scenario", "CSV_SCHEMA", "LEARN_HEADER"]
 # bump when the column set changes; every row carries it
 CSV_SCHEMA = "halfspace-lab-csv-1"
 
-LEARN_HEADER = [
-    "schema",
-    "scenario",
-    "mode",
-    "dim",
-    "tstar",
-    "bias",
-    "noise",
-    "epsilon",
-    "delta",
-    "seed",
-    "small_class",
-    "budget",
-    "verdict",
-    "err_estimate",
-    "err_se",
-    "total_queries",
-    "queries_bias",
-    "queries_init",
-    "queries_refine",
-    "queries_tournament",
-    "small_class_draws",
-    "rounds",
-]
-
 LOWERBOUND_HEADER = ["schema", "scenario", "stat", "value"]
+
+_MODES = ("learn", "sweep", "lowerbound", "selftest")
 
 
 class UsageError(ValueError):
@@ -84,20 +63,34 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
+    """One run's inputs.  The fields after ``mode`` are the CLI's flags,
+    the sweep's fields and the learn CSV's scenario columns, with these
+    defaults; the annotations are the types they accept."""
+
     mode: str
     dim: int = 10
-    tstar: float | None = None
-    bias: float | None = None
-    noise: str = "clean"
+    tstar: float | None = field(default=None, metadata={"help": "target threshold"})
+    bias: float | None = field(
+        default=None, metadata={"help": "target minority mass (excludes --tstar)"}
+    )
+    noise: str = field(default="clean", metadata={"help": "clean | rcn:<rate> | band:<width>"})
     epsilon: float = 0.05
     delta: float = 0.1
     seed: int = 0
     small_class_oracle: bool = False
-    budget: int | None = None
+    budget: int | None = field(default=None, metadata={"help": "membership-query cap"})
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.mode not in ("learn", "sweep", "lowerbound", "selftest"):
+        hints = typing.get_type_hints(Scenario)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _accepts(hints[f.name], value):
+                expected = getattr(hints[f.name], "__name__", hints[f.name])
+                raise UsageError(f"{f.name} must be {expected}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageError(f"{f.name} must be finite, got {value!r}")
+        if self.mode not in _MODES:
             raise UsageError(f"unknown mode {self.mode!r}")
         if self.tstar is not None and self.bias is not None:
             raise UsageError("--tstar and --bias are mutually exclusive")
@@ -138,6 +131,37 @@ class Scenario:
         return ";".join(parts)
 
 
+def _accepts(annotation, value) -> bool:
+    """Whether ``value`` has a type the annotation allows.  A bool is not
+    taken for an int, and an int (as JSON writes whole numbers) is taken
+    for a float."""
+    types = typing.get_args(annotation) or (annotation,)
+    if isinstance(value, bool):
+        return bool in types
+    return isinstance(value, types) or (float in types and isinstance(value, int))
+
+
+# the fields a sweep may vary, each also a --flag and a learn CSV column
+_SWEEP_FIELDS = [f.name for f in dataclasses.fields(Scenario) if f.name not in ("mode", "overrides")]
+_REPORT_COLUMNS = [
+    "verdict",
+    "err_estimate",
+    "err_se",
+    "total_queries",
+    "queries_bias",
+    "queries_init",
+    "queries_refine",
+    "queries_tournament",
+    "small_class_draws",
+    "rounds",
+]
+LEARN_HEADER = (
+    ["schema", "scenario", "mode"]
+    + [{"small_class_oracle": "small_class"}.get(name, name) for name in _SWEEP_FIELDS]
+    + _REPORT_COLUMNS
+)
+
+
 def _fmt(x) -> str:
     """Deterministic scalar formatting for CSV cells."""
     if x is None:
@@ -156,15 +180,13 @@ def make_label_source(spec: str, target: Halfspace) -> LabelSource:
     if spec == "clean":
         return CleanLabels(target)
     kind, _, arg = spec.partition(":")
+    cls = {"rcn": RandomFlip, "band": BoundaryBand}.get(kind)
+    if cls is None:
+        raise UsageError(f"unknown noise spec {spec!r} (use clean | rcn:<rate> | band:<width>)")
     try:
-        value = float(arg)
-    except ValueError:
-        raise UsageError(f"noise spec {spec!r}: expected a numeric parameter")
-    if kind == "rcn":
-        return RandomFlip(target, value)
-    if kind == "band":
-        return BoundaryBand(target, value)
-    raise UsageError(f"unknown noise spec {spec!r} (use clean | rcn:<rate> | band:<width>)")
+        return cls(target, float(arg))
+    except ValueError as exc:
+        raise UsageError(f"noise spec {spec!r}: {exc}") from None
 
 
 def _parse_override_value(text: str):
@@ -185,23 +207,24 @@ def parse_overrides(pairs: list[str]) -> dict:
 
 
 def _apply_overrides(cfg: LearnerConfig, overrides: dict) -> LearnerConfig:
-    """Dotted keys (init.* / refine.*) go to the stage configs, bare keys
-    to the learner config; unknown keys are usage errors."""
-    init_kv, refine_kv, top_kv = {}, {}, {}
+    """Dotted keys (``refine.c_stop``) go to the stage config held in the
+    LearnerConfig field before the dot, bare keys to the learner config;
+    unknown keys and rejected values are usage errors."""
+    stages = {
+        f.name: {} for f in dataclasses.fields(cfg) if dataclasses.is_dataclass(getattr(cfg, f.name))
+    }
+    top = {}
     for key, value in overrides.items():
-        head, _, tail = key.partition(".")
-        if head == "init":
-            init_kv[tail] = value
-        elif head == "refine":
-            refine_kv[tail] = value
+        head, dot, tail = key.partition(".")
+        if dot and head in stages:
+            stages[head][tail] = value
         else:
-            top_kv[key] = value
+            top[key] = value
     try:
-        init = dataclasses.replace(cfg.init, **init_kv) if init_kv else cfg.init
-        refine = dataclasses.replace(cfg.refine, **refine_kv) if refine_kv else cfg.refine
-        return dataclasses.replace(cfg, init=init, refine=refine, **top_kv)
-    except TypeError as exc:
-        raise UsageError(f"unknown config override: {exc}")
+        nested = {name: dataclasses.replace(getattr(cfg, name), **kv) for name, kv in stages.items() if kv}
+        return dataclasses.replace(cfg, **nested, **top)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"config override: {exc}") from None
 
 
 def build_target(scenario: Scenario) -> Halfspace:
@@ -226,30 +249,9 @@ def run_learn_scenario(scenario: Scenario) -> tuple[list[str], RunReport]:
         scenario.overrides,
     )
     report = learn(oracle, cfg, small_class)
-    row = [
-        CSV_SCHEMA,
-        scenario.echo(),
-        "learn",
-        _fmt(scenario.dim),
-        _fmt(scenario.tstar),
-        _fmt(scenario.bias),
-        scenario.noise,
-        _fmt(scenario.epsilon),
-        _fmt(scenario.delta),
-        _fmt(scenario.seed),
-        _fmt(scenario.small_class_oracle),
-        _fmt(scenario.budget),
-        report.verdict,
-        _fmt(report.err_estimate),
-        _fmt(report.err_se),
-        _fmt(report.total_queries),
-        _fmt(report.queries_bias),
-        _fmt(report.queries_init),
-        _fmt(report.queries_refine),
-        _fmt(report.queries_tournament),
-        _fmt(report.small_class_draws),
-        _fmt(report.rounds),
-    ]
+    row = [CSV_SCHEMA, scenario.echo(), scenario.mode]
+    row += [_fmt(getattr(scenario, name)) for name in _SWEEP_FIELDS]
+    row += [_fmt(getattr(report, name)) for name in _REPORT_COLUMNS]
     return row, report
 
 
@@ -264,15 +266,18 @@ def run_lowerbound_scenario(scenario: Scenario) -> list[list[str]]:
     """Pool statistics for one seed: near-isometry, capture probability,
     and the query game for the configured strategy."""
     ov = scenario.overrides
-    m = int(ov.get("m", 2000))
-    k = int(ov.get("k", 10))
-    tuples = int(ov.get("tuples", 500))
-    trials = int(ov.get("trials", 20000))
+    try:
+        m = int(ov.get("m", 2000))
+        k = int(ov.get("k", 10))
+        tuples = int(ov.get("tuples", 500))
+        trials = int(ov.get("trials", 20000))
+        game_k = int(ov.get("game_negatives", 1))
+        game_budget = int(ov.get("game_budget", m))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"lowerbound override: {exc}") from None
     strategy_name = str(ov.get("strategy", "random"))
     if strategy_name not in _STRATEGIES:
         raise UsageError(f"unknown strategy {strategy_name!r} (use random | greedy | oracle)")
-    game_k = int(ov.get("game_negatives", 1))
-    game_budget = int(ov.get("game_budget", m))
 
     t = scenario.threshold
     rng = substream(scenario.seed, "lowerbound")
@@ -295,56 +300,20 @@ def run_lowerbound_scenario(scenario: Scenario) -> list[list[str]]:
     return [[CSV_SCHEMA, echo, name, _fmt(value)] for name, value in stats]
 
 
-def _scenario_from_cell(cell: dict, overrides: dict) -> Scenario:
-    merged = dict(overrides)
-    merged.update(cell.get("set", {}))
-    return Scenario(
-        mode="learn",
-        dim=int(cell.get("dim", 10)),
-        tstar=cell.get("tstar"),
-        bias=cell.get("bias"),
-        noise=str(cell.get("noise", "clean")),
-        epsilon=float(cell.get("epsilon", 0.05)),
-        delta=float(cell.get("delta", 0.1)),
-        seed=int(cell.get("seed", 0)),
-        small_class_oracle=bool(cell.get("small_class_oracle", False)),
-        budget=cell.get("budget"),
-        overrides=merged,
-    )
-
-
-_SWEEP_FIELDS = [
-    "dim",
-    "tstar",
-    "bias",
-    "noise",
-    "epsilon",
-    "delta",
-    "seed",
-    "small_class_oracle",
-    "budget",
-]
-
-
 def expand_sweep(spec: dict) -> list[dict]:
     """Cross-product of any listed fields, in fixed field order, so the
     output row order is deterministic regardless of execution order."""
+    if not isinstance(spec, dict) or not isinstance(spec.get("set", {}), dict):
+        raise UsageError('a sweep spec maps scenario fields to values or lists, and "set" to overrides')
     unknown = set(spec) - set(_SWEEP_FIELDS) - {"set"}
     if unknown:
         raise UsageError(f"unknown sweep fields: {sorted(unknown)}")
-    axes = []
-    for name in _SWEEP_FIELDS:
-        if name not in spec:
-            continue
-        value = spec[name]
-        axes.append([(name, v) for v in (value if isinstance(value, list) else [value])])
-    cells = []
-    for combo in itertools.product(*axes):
-        cell = dict(combo)
-        if "set" in spec:
-            cell["set"] = spec["set"]
-        cells.append(cell)
-    return cells
+    axes = [
+        [(name, v) for v in (spec[name] if isinstance(spec[name], list) else [spec[name]])]
+        for name in _SWEEP_FIELDS
+        if name in spec
+    ]
+    return [dict(combo) for combo in itertools.product(*axes)]
 
 
 def _write_csv(rows: list[list[str]], header: list[str], out_path: str | None) -> None:
@@ -363,25 +332,20 @@ def run_scenario(scenario: Scenario, out_path: str | None = None, sweep_spec: di
     code = 0
     if scenario.mode == "selftest":
         code = 0 if run_selftest(lambda line: print(line, file=sys.stderr)) else 3
-    elif scenario.mode == "learn":
-        row, report = run_learn_scenario(scenario)
-        _write_csv([row], LEARN_HEADER, out_path)
-        if report.verdict == "budget":
-            code = 2
-    elif scenario.mode == "sweep":
-        if sweep_spec is None:
-            raise UsageError("sweep mode requires --sweep-file")
-        rows = []
-        any_budget = False
-        for cell in expand_sweep(sweep_spec):
-            row, report = run_learn_scenario(_scenario_from_cell(cell, scenario.overrides))
-            rows.append(row)
-            any_budget = any_budget or report.verdict == "budget"
-        _write_csv(rows, LEARN_HEADER, out_path)
-        if any_budget:
-            code = 2
     elif scenario.mode == "lowerbound":
         _write_csv(run_lowerbound_scenario(scenario), LOWERBOUND_HEADER, out_path)
+    else:
+        scenarios = [scenario]
+        if scenario.mode == "sweep":
+            if sweep_spec is None:
+                raise UsageError("sweep mode requires --sweep-file")
+            cells = expand_sweep(sweep_spec)
+            overrides = {**scenario.overrides, **sweep_spec.get("set", {})}
+            scenarios = [Scenario(mode="learn", overrides=overrides, **cell) for cell in cells]
+        runs = [run_learn_scenario(s) for s in scenarios]
+        _write_csv([row for row, _ in runs], LEARN_HEADER, out_path)
+        if any(report.verdict == "budget" for _, report in runs):
+            code = 2
     wall_ms = 1000.0 * (time.monotonic() - t0)
     print(f"wall_ms={wall_ms:.1f}", file=sys.stderr)
     return code
@@ -395,23 +359,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # flags the user leaves out stay out of the namespace, so Scenario's
+    # defaults apply
     parser = _Parser(
         prog="halfspace-lab",
         description="Membership-query halfspace learning experiments.",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--mode", required=True, choices=["learn", "sweep", "lowerbound", "selftest"])
-    parser.add_argument("--dim", type=int, default=10)
-    parser.add_argument("--tstar", type=float, default=None, help="target threshold")
-    parser.add_argument("--bias", type=float, default=None, help="target minority mass (excludes --tstar)")
-    parser.add_argument("--noise", default="clean", help="clean | rcn:<rate> | band:<width>")
-    parser.add_argument("--epsilon", type=float, default=0.05)
-    parser.add_argument("--delta", type=float, default=0.1)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--sweep-file", default=None, help="JSON sweep spec (sweep mode)")
-    parser.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    parser.add_argument("--budget", type=int, default=None, help="membership-query cap")
-    parser.add_argument("--small-class-oracle", action="store_true")
-    parser.add_argument("--set", dest="overrides", action="append", default=[],
+    parser.add_argument("--mode", required=True, choices=_MODES)
+    hints = typing.get_type_hints(Scenario)
+    for f in dataclasses.fields(Scenario):
+        if f.name not in _SWEEP_FIELDS:
+            continue
+        flag = "--" + f.name.replace("_", "-")
+        (kind,) = [t for t in typing.get_args(hints[f.name]) or (hints[f.name],) if t is not type(None)]
+        if kind is bool:
+            parser.add_argument(flag, action="store_true", help=f.metadata.get("help"))
+        else:
+            parser.add_argument(flag, type=kind, help=f.metadata.get("help"))
+    parser.add_argument("--sweep-file", help="JSON sweep spec (sweep mode)")
+    parser.add_argument("--out", help="CSV output path (default stdout)")
+    parser.add_argument("--set", dest="overrides", action="append",
                         metavar="KEY=VALUE", help="config override (repeatable)")
     return parser
 
@@ -419,32 +387,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(parser.parse_args(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    out_path = args.pop("out", None)
+    sweep_file = args.pop("sweep_file", None)
     try:
-        scenario = Scenario(
-            mode=args.mode,
-            dim=args.dim,
-            tstar=args.tstar,
-            bias=args.bias,
-            noise=args.noise,
-            epsilon=args.epsilon,
-            delta=args.delta,
-            seed=args.seed,
-            small_class_oracle=args.small_class_oracle,
-            budget=args.budget,
-            overrides=parse_overrides(args.overrides),
-        )
+        scenario = Scenario(overrides=parse_overrides(args.pop("overrides", [])), **args)
         sweep_spec = None
-        if args.sweep_file is not None:
-            with open(args.sweep_file) as fh:
-                sweep_spec = json.load(fh)
-        return run_scenario(scenario, args.out, sweep_spec)
-    except UsageError as exc:
-        print(f"halfspace-lab: error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+        if sweep_file is not None:
+            with open(sweep_file) as fh:
+                try:
+                    sweep_spec = json.load(fh)
+                except ValueError as exc:
+                    raise UsageError(f"sweep file {sweep_file!r}: {exc}") from None
+        return run_scenario(scenario, out_path, sweep_spec)
+    except (UsageError, FileNotFoundError) as exc:
         print(f"halfspace-lab: error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, log_ndtr
+from scipy.special import erfc
 
 __all__ = [
     "Halfspace",
@@ -105,11 +105,6 @@ def halfspace_bias(t: float) -> float:
     # Phi(-t) = erfc(t / sqrt(2)) / 2; erfc keeps full relative accuracy
     # in the far tail, which matters since t can reach sqrt(log(1/eps)).
     return 0.5 * float(erfc(t / math.sqrt(2.0)))
-
-
-def log_halfspace_bias(t: float) -> float:
-    """log Phi(-t), stable arbitrarily far into the tail."""
-    return float(log_ndtr(-t))
 
 
 def threshold_for_bias(p: float, tol: float = 1e-6) -> float:

@@ -11,7 +11,7 @@ candidate pool by pairwise disagreement voting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -246,6 +246,19 @@ def tournament(
     return candidates[int(np.argmin(losses))]
 
 
+# RunReport's counters: ``learn`` fills them, the noise ladder sums them
+_COUNTERS = (
+    "queries_bias", "queries_init", "queries_refine", "queries_tournament",
+    "small_class_draws", "rounds", "attempts", "init_failures", "offset_failures",
+)
+
+
+def _error_and_se(oracle: MembershipOracle, h: Halfspace, m: int, purpose: str) -> tuple[float, float]:
+    """Held-out error of h on m fresh draws, and its binomial standard error."""
+    err = estimate_error(oracle.source, h, m, oracle.seed, purpose)
+    return err, math.sqrt(max(err * (1.0 - err), 1.0 / m) / m)
+
+
 def learn(
     oracle: MembershipOracle,
     cfg: LearnerConfig,
@@ -256,32 +269,24 @@ def learn(
     d = oracle.dim
     start = oracle.ledger
     sc_draws0 = small_class.draws if small_class is not None else 0
+    n = dict.fromkeys(_COUNTERS, 0)
 
-    attempts = init_failures = offset_failures = 0
-
-    def finish(h, verdict, q_bias, q_init, q_refine, q_tour, rounds, cands, flipped):
+    def finish(h, verdict, cands):
         if flipped:
             h = h.flipped()
             cands = [c.flipped() for c in cands]
-        m = cfg.eval_samples
-        err = estimate_error(oracle.source, h, m, oracle.seed, "final-eval")
+        err, se = _error_and_se(oracle, h, cfg.eval_samples, "final-eval")
+        if small_class is not None:
+            n["small_class_draws"] = small_class.draws - sc_draws0
         return RunReport(
             hypothesis=h,
             verdict=verdict,
             err_estimate=err,
-            err_se=math.sqrt(max(err * (1.0 - err), 1.0 / m) / m),
-            queries_bias=q_bias,
-            queries_init=q_init,
-            queries_refine=q_refine,
-            queries_tournament=q_tour,
+            err_se=se,
             total_queries=oracle.ledger - start,
-            small_class_draws=(small_class.draws - sc_draws0) if small_class else 0,
-            rounds=rounds,
             candidates=cands,
             flipped=flipped,
-            attempts=attempts,
-            init_failures=init_failures,
-            offset_failures=offset_failures,
+            **n,
         )
 
     # orientation check: the pipeline assumes the negative side is the
@@ -291,7 +296,6 @@ def learn(
     view = _FlippedOracle(oracle) if flipped else oracle
     sc = None if flipped else small_class
 
-    mark = oracle.ledger
     if sc is not None:
         bias = _bias_from_small_class(sc, cfg.bias_from_small_class_draws)
     else:
@@ -300,15 +304,12 @@ def learn(
                 view, cfg.epsilon, cfg.delta, c_small=cfg.c_small,
                 query_cap=cfg.budget,
             )
-        except BudgetExceeded as exc:
-            bias = exc.partial
-            h = constant_plus_one_hypothesis(d)
-            return finish(h, "budget", oracle.ledger - start, 0, 0, 0, 0, [h], flipped)
-    q_bias = oracle.ledger - mark + (mark - start)
-
-    if bias.is_small:
+        except BudgetExceeded:
+            bias = None
+    n["queries_bias"] = oracle.ledger - start
+    if bias is None or bias.is_small:
         h = constant_plus_one_hypothesis(d)
-        return finish(h, "constant_plus_one", q_bias, 0, 0, 0, 0, [h], flipped)
+        return finish(h, "budget" if bias is None else "constant_plus_one", [h])
 
     p_hat = bias.p_hat
     t_a = max(0.0, threshold_for_bias(min(2.0 * p_hat, 0.999)))
@@ -317,64 +318,49 @@ def learn(
     grid = list(np.arange(t_a, t_b, step)) + [t_b]
 
     candidates: list[Halfspace] = []
-    q_init = 0
-    q_refine = 0
-    rounds = 0
-    verdict = "learned"
     hit_budget = False
-    for t_j in grid:
-        if hit_budget:
+    for t_j in [t for t in grid for _ in range(cfg.restarts())]:
+        if cfg.budget is not None and oracle.ledger - start >= cfg.budget:
+            hit_budget = True
             break
-        for _ in range(cfg.restarts()):
-            if cfg.budget is not None and oracle.ledger - start >= cfg.budget:
-                hit_budget = True
-                break
-            attempts += 1
-            mark = oracle.ledger
-            try:
-                if use_extreme_init(t_j, cfg.epsilon, p_hat):
-                    w0 = init_extreme(
-                        view, t_j, cfg.epsilon, p_hat, cfg.delta,
-                        rng, cfg.init, sc,
-                    )
-                else:
-                    w0 = init_unextreme(
-                        view, t_j, cfg.epsilon, cfg.delta, cfg.init, sc
-                    )
-            except InitFailure:
-                q_init += oracle.ledger - mark
-                init_failures += 1
-                continue
-            q_init += oracle.ledger - mark
-            mark = oracle.ledger
-            try:
-                w, t_hat, state = refine(
-                    view, w0, t_j, cfg.epsilon, cfg.delta, cfg.refine
+        n["attempts"] += 1
+        mark = oracle.ledger
+        try:
+            if use_extreme_init(t_j, cfg.epsilon, p_hat):
+                w0 = init_extreme(
+                    view, t_j, cfg.epsilon, p_hat, cfg.delta,
+                    rng, cfg.init, sc,
                 )
-            except OffsetNotFound:
-                q_refine += oracle.ledger - mark
-                offset_failures += 1
-                continue
-            q_refine += oracle.ledger - mark
-            rounds += state.round
-            candidates.append(Halfspace(w, t_hat))
+            else:
+                w0 = init_unextreme(
+                    view, t_j, cfg.epsilon, cfg.delta, cfg.init, sc
+                )
+        except InitFailure:
+            n["init_failures"] += 1
+            continue
+        finally:
+            n["queries_init"] += oracle.ledger - mark
+        mark = oracle.ledger
+        try:
+            w, t_hat, state = refine(
+                view, w0, t_j, cfg.epsilon, cfg.delta, cfg.refine
+            )
+        except OffsetNotFound:
+            n["offset_failures"] += 1
+            continue
+        finally:
+            n["queries_refine"] += oracle.ledger - mark
+        n["rounds"] += state.round
+        candidates.append(Halfspace(w, t_hat))
 
-    if hit_budget:
-        verdict = "budget"
     if not candidates:
         h = constant_plus_one_hypothesis(d)
-        return finish(
-            h, verdict if hit_budget else "constant_plus_one",
-            q_bias, q_init, q_refine, 0, rounds, [h], flipped,
-        )
+        return finish(h, "budget" if hit_budget else "constant_plus_one", [h])
 
     mark = oracle.ledger
     winner = tournament(candidates, view, cfg.epsilon, cfg.delta)
-    q_tour = oracle.ledger - mark
-    return finish(
-        winner, verdict, q_bias, q_init, q_refine, q_tour, rounds,
-        list(candidates), flipped,
-    )
+    n["queries_tournament"] = oracle.ledger - mark
+    return finish(winner, "budget" if hit_budget else "learned", list(candidates))
 
 
 def learn_with_noise_ladder(
@@ -391,35 +377,23 @@ def learn_with_noise_ladder(
     """
     start = oracle.ledger
     levels = math.ceil(math.log2(1.0 / cfg.epsilon)) + 1
-    pool: list[Halfspace] = []
-    reports: list[RunReport] = []
-    from dataclasses import replace as dc_replace
-
-    for i in range(levels):
-        alpha = min(0.5, cfg.epsilon * 2 ** i)
-        rep = learn(oracle, dc_replace(cfg, epsilon=alpha), small_class)
-        reports.append(rep)
-        pool.append(rep.hypothesis)
+    reports = [
+        learn(oracle, replace(cfg, epsilon=min(0.5, cfg.epsilon * 2 ** i)), small_class)
+        for i in range(levels)
+    ]
+    pool = [r.hypothesis for r in reports]
+    n = {k: sum(getattr(r, k) for r in reports) for k in _COUNTERS}
+    mark = oracle.ledger
     winner = tournament(pool, oracle, cfg.epsilon, cfg.delta)
-    base = reports[0]
-    err = estimate_error(oracle.source, winner, cfg.eval_samples, oracle.seed, "ladder-eval")
+    n["queries_tournament"] += oracle.ledger - mark
+    err, se = _error_and_se(oracle, winner, cfg.eval_samples, "ladder-eval")
     return RunReport(
         hypothesis=winner,
         verdict="learned",
         err_estimate=err,
-        err_se=math.sqrt(max(err * (1.0 - err), 1.0 / cfg.eval_samples) / cfg.eval_samples),
-        queries_bias=sum(r.queries_bias for r in reports),
-        queries_init=sum(r.queries_init for r in reports),
-        queries_refine=sum(r.queries_refine for r in reports),
-        queries_tournament=oracle.ledger - start - sum(
-            r.queries_bias + r.queries_init + r.queries_refine for r in reports
-        ),
+        err_se=se,
         total_queries=oracle.ledger - start,
-        small_class_draws=sum(r.small_class_draws for r in reports),
-        rounds=sum(r.rounds for r in reports),
         candidates=pool,
-        flipped=base.flipped,
-        attempts=sum(r.attempts for r in reports),
-        init_failures=sum(r.init_failures for r in reports),
-        offset_failures=sum(r.offset_failures for r in reports),
+        flipped=reports[0].flipped,
+        **n,
     )

@@ -180,6 +180,8 @@ class MembershipOracle:
     def query_batch(self, X: np.ndarray) -> np.ndarray:
         """Labels for n points at a cost of n ledger increments."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if not np.isfinite(X).all():
+            raise ValueError("query points must be finite")
         self.ledger += X.shape[0]
         return self.source.sample_labels(X, self._rng)
 

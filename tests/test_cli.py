@@ -3,7 +3,6 @@ import json
 import pytest
 
 from halfspace_lab.cli import (
-    LEARN_HEADER,
     LOWERBOUND_HEADER,
     Scenario,
     UsageError,
@@ -20,6 +19,15 @@ import numpy as np
 FAST_LEARN = [
     "--mode", "learn", "--dim", "5", "--tstar", "1.0", "--epsilon", "0.05",
     "--seed", "3", "--set", "restarts_per_gridpoint=1",
+]
+
+
+# the learn CSV's columns, written out so a change to the derived header shows
+LEARN_COLUMNS = [
+    "schema", "scenario", "mode", "dim", "tstar", "bias", "noise", "epsilon",
+    "delta", "seed", "small_class", "budget", "verdict", "err_estimate", "err_se",
+    "total_queries", "queries_bias", "queries_init", "queries_refine",
+    "queries_tournament", "small_class_draws", "rounds",
 ]
 
 
@@ -73,7 +81,7 @@ class TestMainModes:
         out = tmp_path / "run.csv"
         assert main(FAST_LEARN + ["--out", str(out)]) == 0
         header, rows = read_csv(out)
-        assert header == LEARN_HEADER
+        assert header == LEARN_COLUMNS
         assert len(rows) == 1
         row = dict(zip(header, rows[0]))
         assert row["verdict"] in ("learned", "constant_plus_one")
@@ -102,6 +110,14 @@ class TestMainModes:
         assert len(rows) == 2
         assert totals == sorted(totals)
 
+    def test_empty_sweep_cell_matches_default_learn(self, tmp_path):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text("{}")
+        a, b = tmp_path / "learn.csv", tmp_path / "sweep.csv"
+        assert main(["--mode", "learn", "--out", str(a)]) == 0
+        assert main(["--mode", "sweep", "--sweep-file", str(sweep), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_lowerbound_mode(self, tmp_path):
         out = tmp_path / "lb.csv"
         code = main([
@@ -122,10 +138,34 @@ class TestMainModes:
     def test_selftest_mode(self, capsys):
         assert main(["--mode", "selftest"]) == 0
 
-    def test_usage_errors_exit_1(self):
+    def test_usage_errors_exit_1(self, tmp_path, capsys):
         assert main(["--mode", "learn", "--tstar", "1", "--bias", "0.2"]) == 1
         assert main(["--mode", "nosuch"]) == 1
         assert main(["--mode", "sweep"]) == 1
+        sweeps = [
+            '{"dim": [4,',
+            "5",
+            '{"epsilon": "x"}',
+            '{"tstar": "1"}',
+            '{"small_class_oracle": "false"}',
+            '{"dim": true}',
+            '{"set": 3}',
+        ]
+        for i, text in enumerate(sweeps):
+            sweep = tmp_path / f"sweep{i}.json"
+            sweep.write_text(text)
+            assert main(["--mode", "sweep", "--sweep-file", str(sweep)]) == 1, text
+        for argv in (
+            ["--mode", "learn", "--noise", "rcn:0.7"],
+            ["--mode", "learn", "--noise", "band:-1"],
+            ["--mode", "learn", "--set", "refine.c1=2"],
+            ["--mode", "learn", "--tstar", "nan"],
+            ["--mode", "lowerbound", "--set", "m=abc"],
+        ):
+            assert main(argv) == 1, argv
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 3 + len(sweeps) + 5
+        assert all(line.startswith("halfspace-lab: error: ") for line in errors)
 
     def test_budget_exit_2(self):
         code = main([

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,3 +261,17 @@ class TestNoiseLadder:
         levels = math.ceil(math.log2(1.0 / cfg.epsilon)) + 1
         assert len(report.candidates) == levels
         assert report.err_estimate <= 0.15
+        stages = (
+            report.queries_bias + report.queries_init
+            + report.queries_refine + report.queries_tournament
+        )
+        assert stages == report.total_queries == oracle.ledger
+        # the ladder's levels, replayed in order on a twin oracle
+        twin = make_oracle(t=0.5, d=4, seed=6)
+        level_reports = [
+            learn(twin, replace(cfg, epsilon=min(0.5, cfg.epsilon * 2 ** i)))
+            for i in range(levels)
+        ]
+        assert [r.hypothesis.t for r in level_reports] == [h.t for h in report.candidates]
+        for name in ("attempts", "rounds", "small_class_draws"):
+            assert getattr(report, name) == sum(getattr(r, name) for r in level_reports), name

@@ -91,6 +91,14 @@ class TestMembershipOracle:
         with pytest.raises(ValueError):
             o.query(np.array([np.nan, 0.0, 0.0, 0.0]))
 
+    def test_rejects_non_finite_query_batch(self):
+        o = make_oracle()
+        X = o.gaussian_points(8)
+        X[5, 2] = np.inf
+        with pytest.raises(ValueError):
+            o.query_batch(X)
+        assert o.ledger == 0
+
     def test_localized_query_batch_matches_transform(self, rng):
         o = make_oracle(t=0.8)
         v = unit_vector(rng, 4)
