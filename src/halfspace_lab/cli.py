@@ -233,13 +233,11 @@ def build_target(scenario: Scenario) -> Halfspace:
     return Halfspace(w / np.linalg.norm(w), scenario.threshold)
 
 
-def run_learn_scenario(scenario: Scenario) -> tuple[list[str], RunReport]:
-    target = build_target(scenario)
-    source = make_label_source(scenario.noise, target)
-    oracle = MembershipOracle(source, scenario.seed)
-    small_class = (
-        SmallClassOracle(source, scenario.seed) if scenario.small_class_oracle else None
-    )
+def prepare_learn(scenario: Scenario) -> tuple[LabelSource, LearnerConfig]:
+    """One learn scenario's label source and config.  A bad noise spec or
+    override raises UsageError here, so a sweep can check every cell
+    before it runs any."""
+    source = make_label_source(scenario.noise, build_target(scenario))
     cfg = _apply_overrides(
         LearnerConfig(
             epsilon=scenario.epsilon,
@@ -247,6 +245,16 @@ def run_learn_scenario(scenario: Scenario) -> tuple[list[str], RunReport]:
             budget=scenario.budget,
         ),
         scenario.overrides,
+    )
+    return source, cfg
+
+
+def run_learn_scenario(
+    scenario: Scenario, source: LabelSource, cfg: LearnerConfig
+) -> tuple[list[str], RunReport]:
+    oracle = MembershipOracle(source, scenario.seed)
+    small_class = (
+        SmallClassOracle(source, scenario.seed) if scenario.small_class_oracle else None
     )
     report = learn(oracle, cfg, small_class)
     row = [CSV_SCHEMA, scenario.echo(), scenario.mode]
@@ -262,20 +270,29 @@ _STRATEGIES = {
 }
 
 
+# the lowerbound mode's --set keys and their defaults; game_budget defaults to m
+_LOWERBOUND_DEFAULTS = {
+    "m": 2000, "k": 10, "tuples": 500, "trials": 20000,
+    "game_negatives": 1, "game_budget": None, "strategy": "random",
+}
+
+
 def run_lowerbound_scenario(scenario: Scenario) -> list[list[str]]:
     """Pool statistics for one seed: near-isometry, capture probability,
     and the query game for the configured strategy."""
-    ov = scenario.overrides
+    unknown = set(scenario.overrides) - set(_LOWERBOUND_DEFAULTS)
+    if unknown:
+        known = ", ".join(_LOWERBOUND_DEFAULTS)
+        raise UsageError(f"unknown lowerbound overrides {sorted(unknown)} (use {known})")
+    ov = {**_LOWERBOUND_DEFAULTS, **scenario.overrides}
     try:
-        m = int(ov.get("m", 2000))
-        k = int(ov.get("k", 10))
-        tuples = int(ov.get("tuples", 500))
-        trials = int(ov.get("trials", 20000))
-        game_k = int(ov.get("game_negatives", 1))
-        game_budget = int(ov.get("game_budget", m))
+        m, k, tuples, trials, game_k = (
+            int(ov[key]) for key in ("m", "k", "tuples", "trials", "game_negatives")
+        )
+        game_budget = m if ov["game_budget"] is None else int(ov["game_budget"])
     except (TypeError, ValueError) as exc:
         raise UsageError(f"lowerbound override: {exc}") from None
-    strategy_name = str(ov.get("strategy", "random"))
+    strategy_name = str(ov["strategy"])
     if strategy_name not in _STRATEGIES:
         raise UsageError(f"unknown strategy {strategy_name!r} (use random | greedy | oracle)")
 
@@ -342,7 +359,8 @@ def run_scenario(scenario: Scenario, out_path: str | None = None, sweep_spec: di
             cells = expand_sweep(sweep_spec)
             overrides = {**scenario.overrides, **sweep_spec.get("set", {})}
             scenarios = [Scenario(mode="learn", overrides=overrides, **cell) for cell in cells]
-        runs = [run_learn_scenario(s) for s in scenarios]
+        prepared = [(s, *prepare_learn(s)) for s in scenarios]
+        runs = [run_learn_scenario(*cell) for cell in prepared]
         _write_csv([row for row, _ in runs], LEARN_HEADER, out_path)
         if any(report.verdict == "budget" for _, report in runs):
             code = 2

@@ -269,7 +269,12 @@ def init_extreme(
     small_class: SmallClassOracle | None = None,
 ) -> np.ndarray:
     """Warm start for large thresholds: smoothed-Chow start plus a few
-    localized gradient rounds at a scale certified by the angle test."""
+    localized gradient rounds at a scale certified by the angle test.
+
+    Once the smoothed-Chow start exists, a round that cannot go on (no
+    scale passes the angle test, a degenerate localized bias, no
+    localized negative) ends the rounds and returns the current w.
+    """
     cfg = cfg or InitConfig()
     w = init_unextreme(oracle, t, epsilon, delta, cfg, small_class)
     eta = epsilon / p_hat
@@ -311,7 +316,10 @@ def init_extreme(
             return w
         sigma_in = 1.0 / t_s
         rho = 1.0 / t_s
-        z0 = _localized_negative(oracle, w, s, sigma_in, epsilon, small_class, rng)
+        try:
+            z0 = _localized_negative(oracle, w, s, sigma_in, epsilon, small_class, rng)
+        except InitFailure:
+            return w
         m = math.ceil(cfg.chow_sample_multiplier * d * math.log(1.0 / epsilon))
         Z = oracle.gaussian_points(m)
         shift = math.sqrt(max(0.0, 1.0 - rho * rho))

@@ -3,9 +3,11 @@ initialization plus refinement, and tournament selection.
 
 The flow: bracket the minority-class mass p (or bail out with the
 constant +1 hypothesis when p is already epsilon-small), invert the
-bias bracket into a threshold interval, grid it, warm-start and refine
-at every grid point with restarts, then pick a winner from the
-candidate pool by pairwise disagreement voting.
+bias bracket into a threshold interval, grid it, then per restart
+warm-start once at the top grid point and run one localized descent
+that yields a candidate for every grid point on its way down, and
+finally pick a winner from the candidate pool by pairwise disagreement
+voting.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .initialization import (
     use_extreme_init,
 )
 from .oracles import MembershipOracle, SmallClassOracle, estimate_error
-from .refinement import OffsetNotFound, RefineConfig, refine
+from .refinement import RefineConfig, entry_scale, refine
 from .rng import substream
 
 __all__ = [
@@ -97,7 +99,8 @@ class RunReport:
     rounds: int
     candidates: list
     flipped: bool = False
-    # started init+refine attempts, and those that ended without a candidate
+    # attempts: failed warm starts plus grid points a descent resolved;
+    # those that ended without a candidate are split by cause
     attempts: int = 0
     init_failures: int = 0
     offset_failures: int = 0
@@ -317,41 +320,52 @@ def learn(
     step = cfg.step()
     grid = list(np.arange(t_a, t_b, step)) + [t_b]
 
+    def warm_start(t):
+        if use_extreme_init(t, cfg.epsilon, p_hat):
+            return init_extreme(view, t, cfg.epsilon, p_hat, cfg.delta, rng, cfg.init, sc)
+        return init_unextreme(view, t, cfg.epsilon, cfg.delta, cfg.init, sc)
+
+    # the ledger reading at which the budget is spent
+    cap = None if cfg.budget is None else start + cfg.budget
     candidates: list[Halfspace] = []
     hit_budget = False
-    for t_j in [t for t in grid for _ in range(cfg.restarts())]:
-        if cfg.budget is not None and oracle.ledger - start >= cfg.budget:
+    for _ in range(cfg.restarts()):
+        # warm-start at the top grid point, falling back down the grid
+        w0 = None
+        for t_init in reversed(grid):
+            if cap is not None and oracle.ledger >= cap:
+                hit_budget = True
+                break
+            mark = oracle.ledger
+            try:
+                w0 = warm_start(t_init)
+                break
+            except InitFailure:
+                n["attempts"] += 1
+                n["init_failures"] += 1
+            finally:
+                n["queries_init"] += oracle.ledger - mark
+        if hit_budget:
+            break
+        if w0 is None:
+            continue
+        mark = oracle.ledger
+        outcomes, state = refine(
+            view, w0, grid, cfg.epsilon, cfg.delta, cfg.refine,
+            sigma0=entry_scale(t_init),
+            ledger_cap=cap,
+        )
+        n["queries_refine"] += oracle.ledger - mark
+        n["rounds"] += state.round
+        n["attempts"] += len(outcomes)
+        for o in outcomes:
+            if o.hypothesis is None:
+                n["offset_failures"] += 1
+            else:
+                candidates.append(o.hypothesis)
+        if len(outcomes) < len(grid):
             hit_budget = True
             break
-        n["attempts"] += 1
-        mark = oracle.ledger
-        try:
-            if use_extreme_init(t_j, cfg.epsilon, p_hat):
-                w0 = init_extreme(
-                    view, t_j, cfg.epsilon, p_hat, cfg.delta,
-                    rng, cfg.init, sc,
-                )
-            else:
-                w0 = init_unextreme(
-                    view, t_j, cfg.epsilon, cfg.delta, cfg.init, sc
-                )
-        except InitFailure:
-            n["init_failures"] += 1
-            continue
-        finally:
-            n["queries_init"] += oracle.ledger - mark
-        mark = oracle.ledger
-        try:
-            w, t_hat, state = refine(
-                view, w0, t_j, cfg.epsilon, cfg.delta, cfg.refine
-            )
-        except OffsetNotFound:
-            n["offset_failures"] += 1
-            continue
-        finally:
-            n["queries_refine"] += oracle.ledger - mark
-        n["rounds"] += state.round
-        candidates.append(Halfspace(w, t_hat))
 
     if not candidates:
         h = constant_plus_one_hypothesis(d)

@@ -6,7 +6,9 @@ until the localized negative-label rate sits near 1/2 (where the
 gradient signal is strongest), estimates the projected Chow vector of
 the localized concept, and takes a projected gradient step.  sigma is a
 certified upper bound on sin(theta/2) to the target direction and
-contracts by a fixed factor per round.
+contracts by a fixed factor per round.  One descent serves every
+threshold of the learner's grid: each grid point's offset is searched
+once sigma reaches that point's stop scale.
 """
 
 from __future__ import annotations
@@ -21,16 +23,19 @@ from .estimation import (
     empirical_projected_chow,
     probability_window_check,
 )
+from .geometry import Halfspace
 from .oracles import MembershipOracle, localized_query_batch
 
 __all__ = [
     "RefineConfig",
     "RefineState",
+    "GridOutcome",
     "OffsetNotFound",
     "search_offset",
     "refine_round",
     "refine",
     "planned_rounds",
+    "entry_scale",
 ]
 
 
@@ -38,7 +43,8 @@ class OffsetNotFound(RuntimeError):
     """No localization offset put the negative rate inside the bias window.
 
     Signals that sigma undershoots the actual angle, the threshold range
-    is wrong, or noise swamps the window; callers abort the attempt.
+    is wrong, or noise swamps the window.  The grid point being resolved
+    then yields no hypothesis.
     """
 
 
@@ -169,26 +175,58 @@ def refine_round(
     )
 
 
+def entry_scale(t_prime: float) -> float:
+    """min(1/t', 1/2): the angle bound a warm start at threshold t' is
+    expected to meet, and the scale a descent starts from."""
+    return min(1.0 / t_prime, 0.5) if t_prime > 0 else 0.5
+
+
+@dataclass(frozen=True)
+class GridOutcome:
+    """How a descent resolved one grid threshold t': the scale and round
+    at which it ran ``search_offset``, and the hypothesis that search
+    gave, or None when it raised ``OffsetNotFound``."""
+
+    t_prime: float
+    sigma: float
+    round: int
+    hypothesis: Halfspace | None
+
+
 def refine(
     oracle: MembershipOracle,
     w0: np.ndarray,
-    t_prime: float,
+    grid: list[float],
     epsilon: float,
     delta: float,
     cfg: RefineConfig | None = None,
     sigma0: float | None = None,
-) -> tuple[np.ndarray, float, RefineState]:
-    """Contract the angle to the target down to the accuracy floor.
+    ledger_cap: int | None = None,
+) -> tuple[list[GridOutcome], RefineState]:
+    """One descent from w0 that resolves every grid threshold.
 
-    Returns (final direction, accepted threshold offset, final state).
-    sigma0 defaults to min(1/t', 1/2), the entry guarantee the warm
-    start is expected to satisfy.
+    Grid point t_j stops at sigma_j = min(sigma0, c_stop eps exp(t_j^2 / 2)).
+    The rounds localize with the offset bracket [0, t_top], t_top =
+    max(grid), from sigma0 (default min(1/t_top, 1/2)) down to the
+    smallest sigma_j.  Once the descent has run t_j's planned rounds
+    (largest sigma_j first), ``search_offset`` at (w, sigma, t_j) gives
+    t_j's hypothesis.  A round whose own offset search fails ends the
+    descent, and every grid point not yet resolved fails with it.
+
+    Before each round the descent stops if the ledger has reached
+    ``ledger_cap``; grid points it has not resolved then are left out of
+    the returned outcomes, which are in resolution order.
     """
     cfg = cfg or RefineConfig()
+    t_top = max(grid)
     if sigma0 is None:
-        sigma0 = min(1.0 / t_prime, 0.5) if t_prime > 0 else 0.5
-    sigma_final = min(sigma0, cfg.c_stop * epsilon * math.exp(t_prime ** 2 / 2.0))
-    total = planned_rounds(sigma0, sigma_final, cfg.c2)
+        sigma0 = entry_scale(t_top)
+    # (rounds before t_j is resolved, t_j), in the order they fall due
+    due = [
+        (planned_rounds(sigma0, cfg.c_stop * epsilon * math.exp(t * t / 2.0), cfg.c2), t)
+        for t in sorted(grid, key=abs, reverse=True)
+    ]
+    total = due[-1][0]
     state = RefineState(
         w=np.asarray(w0, dtype=float),
         sigma=sigma0,
@@ -196,10 +234,22 @@ def refine(
         accepted_offset=math.nan,
         ledger_start=oracle.ledger,
     )
-    for _ in range(total):
-        state = refine_round(oracle, state, t_prime, cfg, delta, total)
-    if not math.isfinite(state.accepted_offset):
-        # zero-round run (epsilon large): still pin down the threshold
-        t_hat = search_offset(oracle, state.w, state.sigma, t_prime, cfg, delta)
-        state = replace(state, accepted_offset=t_hat)
-    return state.w, state.accepted_offset, state
+    outcomes: list[GridOutcome] = []
+    for rounds, t_j in due:
+        while state.round < rounds:
+            if ledger_cap is not None and oracle.ledger >= ledger_cap:
+                return outcomes, state
+            try:
+                state = refine_round(oracle, state, t_top, cfg, delta, total)
+            except OffsetNotFound:
+                outcomes += [
+                    GridOutcome(t, state.sigma, state.round, None) for _, t in due[len(outcomes):]
+                ]
+                return outcomes, state
+        try:
+            t_hat = search_offset(oracle, state.w, state.sigma, t_j, cfg, delta)
+            h = Halfspace(state.w, t_hat)
+        except OffsetNotFound:
+            h = None
+        outcomes.append(GridOutcome(t_j, state.sigma, state.round, h))
+    return outcomes, state

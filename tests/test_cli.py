@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from halfspace_lab import cli
 from halfspace_lab.cli import (
     LOWERBOUND_HEADER,
     Scenario,
@@ -138,7 +139,10 @@ class TestMainModes:
     def test_selftest_mode(self, capsys):
         assert main(["--mode", "selftest"]) == 0
 
-    def test_usage_errors_exit_1(self, tmp_path, capsys):
+    def test_usage_errors_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a sweep checks every cell before it runs any learn
+        learns = []
+        monkeypatch.setattr(cli, "learn", lambda *args: learns.append(args))
         assert main(["--mode", "learn", "--tstar", "1", "--bias", "0.2"]) == 1
         assert main(["--mode", "nosuch"]) == 1
         assert main(["--mode", "sweep"]) == 1
@@ -150,6 +154,8 @@ class TestMainModes:
             '{"small_class_oracle": "false"}',
             '{"dim": true}',
             '{"set": 3}',
+            '{"noise": ["clean", "rcn:0.7"], "dim": 5, "epsilon": 0.05}',
+            '{"dim": [4, 5], "set": {"refine.c1": 2}}',
         ]
         for i, text in enumerate(sweeps):
             sweep = tmp_path / f"sweep{i}.json"
@@ -161,10 +167,12 @@ class TestMainModes:
             ["--mode", "learn", "--set", "refine.c1=2"],
             ["--mode", "learn", "--tstar", "nan"],
             ["--mode", "lowerbound", "--set", "m=abc"],
+            ["--mode", "lowerbound", "--set", "M=200"],
         ):
             assert main(argv) == 1, argv
+        assert learns == []
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert len(errors) == 3 + len(sweeps) + 5
+        assert len(errors) == 3 + len(sweeps) + 6
         assert all(line.startswith("halfspace-lab: error: ") for line in errors)
 
     def test_budget_exit_2(self):
@@ -173,3 +181,19 @@ class TestMainModes:
             "--seed", "2", "--budget", "4000", "--set", "restarts_per_gridpoint=1",
         ])
         assert code == 2
+
+    def test_budget_checked_before_each_descent_round(self, tmp_path):
+        # the budget runs out inside the first descent: the descent stops
+        # before its next round and the row counts the rounds it ran
+        out = tmp_path / "budget.csv"
+        code = main([
+            "--mode", "learn", "--dim", "10", "--tstar", "1.0", "--epsilon", "0.02",
+            "--seed", "0", "--budget", "100000", "--set", "restarts_per_gridpoint=1",
+            "--out", str(out),
+        ])
+        assert code == 2
+        header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert row["verdict"] == "budget"
+        assert int(row["total_queries"]) <= 110_000
+        assert int(row["rounds"]) > 0

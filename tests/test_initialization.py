@@ -175,3 +175,33 @@ class TestInitExtreme:
             small_class=SmallClassOracle(oracle.source, seed=8),
         )
         assert view.half_angle_sine(w) <= 0.3
+
+    def test_filter_that_never_accepts_keeps_current_direction(self):
+        # the acceptance coins of the small-class rejection filter always
+        # come up 1, so no draw passes and _localized_negative gives up;
+        # init_extreme then ends its rounds with the direction it has
+        class NeverAccept:
+            def __init__(self, rng):
+                self._rng = rng
+                self.coins = 0
+
+            def uniform(self, *args, **kwargs):
+                return self._rng.uniform(*args, **kwargs)
+
+            def random(self, n):
+                self.coins += n
+                return np.ones(n)
+
+        from halfspace_lab.geometry import halfspace_bias
+
+        t = 3.5
+        oracle, view = make_problem(t=t, d=5, seed=2)
+        rng = NeverAccept(substream(2, "never-accept"))
+        w = init_extreme(
+            oracle, t, epsilon=5e-5, p_hat=halfspace_bias(t), delta=0.1, rng=rng,
+            cfg=InitConfig(small_class_probe_draws=100),
+            small_class=SmallClassOracle(oracle.source, seed=2),
+        )
+        assert rng.coins > 0
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-9)
+        assert view.half_angle_sine(w) <= 0.3

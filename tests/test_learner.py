@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, owens_t
 
+import halfspace_lab.learner as learner
 from halfspace_lab.geometry import Halfspace
+from halfspace_lab.initialization import InitFailure
 from halfspace_lab.learner import (
     LearnerConfig,
     constant_plus_one_hypothesis,
@@ -208,6 +210,37 @@ class TestLearn:
         assert report.attempts == (
             len(report.candidates) + report.init_failures + report.offset_failures
         )
+
+    def test_init_falls_back_down_the_grid(self, monkeypatch):
+        # the first warm start fails: the restart retries one grid point
+        # down and starts its one descent at that point's entry scale
+        tried, sigma0s = [], []
+
+        def failing_first(init):
+            def wrapped(oracle, t, *args):
+                tried.append(t)
+                if len(tried) == 1:
+                    raise InitFailure("first try fails")
+                return init(oracle, t, *args)
+            return wrapped
+
+        def spy(refine):
+            def wrapped(*args, **kwargs):
+                sigma0s.append(kwargs["sigma0"])
+                return refine(*args, **kwargs)
+            return wrapped
+
+        for name in ("init_extreme", "init_unextreme"):
+            monkeypatch.setattr(learner, name, failing_first(getattr(learner, name)))
+        monkeypatch.setattr(learner, "refine", spy(learner.refine))
+        report = learn(make_oracle(t=1.0, d=5, seed=3), FAST)
+        assert len(tried) == 2 and tried[0] > tried[1]
+        assert sigma0s == [min(1.0 / tried[1], 0.5)]
+        assert report.init_failures == 1
+        assert report.attempts == (
+            len(report.candidates) + report.init_failures + report.offset_failures
+        )
+        assert report.verdict == "learned"
 
     def test_tiny_bias_returns_constant(self):
         oracle = make_oracle(t=3.5, d=5, seed=0)

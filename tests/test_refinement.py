@@ -9,6 +9,7 @@ from halfspace_lab.refinement import (
     OffsetNotFound,
     RefineConfig,
     RefineState,
+    entry_scale,
     gradient_sample_size,
     planned_rounds,
     refine,
@@ -94,15 +95,64 @@ class TestRefine:
     def test_reaches_accuracy_floor(self):
         oracle, w0, view = setup_problem(d=6, seed=2, angle=0.8)
         eps = 0.05
-        w, t_hat, state = refine(oracle, w0, 1.0, eps, 0.1)
+        (outcome,), state = refine(oracle, w0, [1.0], eps, 0.1)
+        h = outcome.hypothesis
         sigma_final = min(0.5, eps * math.exp(0.5))
         assert state.sigma <= sigma_final + 1e-12
-        assert view.half_angle_sine(w) <= state.sigma
-        assert view.true_error(Halfspace(w, t_hat)) <= 5 * eps
+        assert view.half_angle_sine(h.w) <= state.sigma
+        assert view.true_error(h) <= 5 * eps
 
     def test_zero_round_run_still_reports_offset(self):
         oracle, w0, _ = setup_problem(angle=0.3)
-        w, t_hat, state = refine(oracle, w0, 1.0, 0.9, 0.1, sigma0=0.4)
+        (outcome,), state = refine(oracle, w0, [1.0], 0.9, 0.1, sigma0=0.4)
         assert state.round == 0
-        assert math.isfinite(t_hat)
-        assert np.array_equal(w, w0)
+        assert math.isfinite(outcome.hypothesis.t)
+        assert np.array_equal(outcome.hypothesis.w, w0)
+
+
+class TestDescent:
+    """One descent serving a five-point grid around a clean d=10, t*=1 target."""
+
+    GRID = [0.75, 0.875, 1.0, 1.125, 1.25]
+    EPS = 0.02
+
+    def stop_scale(self, t, sigma0, cfg):
+        return min(sigma0, cfg.c_stop * self.EPS * math.exp(t * t / 2.0))
+
+    def test_resolves_grid_in_decreasing_sigma(self):
+        oracle, w0, view = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
+        cfg = RefineConfig()
+        sigma0 = entry_scale(max(self.GRID))
+        outcomes, state = refine(oracle, w0, self.GRID, self.EPS, 0.1, cfg)
+        assert [o.t_prime for o in outcomes] == sorted(self.GRID, reverse=True)
+        sigmas = [o.sigma for o in outcomes]
+        assert sigmas == sorted(sigmas, reverse=True)
+        for o in outcomes:
+            # resolved at the first round whose sigma is at or below the stop scale
+            sigma_j = self.stop_scale(o.t_prime, sigma0, cfg)
+            assert o.round == planned_rounds(sigma0, sigma_j, cfg.c2)
+            assert o.sigma <= sigma_j * (1 + 1e-9)
+            assert o.round == 0 or o.sigma / (1 - 1 / cfg.c2) > sigma_j
+            if o.t_prime >= 1.0:
+                assert o.hypothesis is not None, o.t_prime
+                assert view.half_angle_sine(o.hypothesis.w) <= o.sigma
+        min_sigma = min(self.stop_scale(t, sigma0, cfg) for t in self.GRID)
+        assert state.round == planned_rounds(sigma0, min_sigma, cfg.c2)
+
+    def test_points_below_target_fail_alone(self):
+        oracle, w0, view = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
+        outcomes, _ = refine(oracle, w0, self.GRID, self.EPS, 0.1)
+        failed = [o.t_prime for o in outcomes if o.hypothesis is None]
+        assert failed == [0.875, 0.75]
+        best = outcomes[0].hypothesis
+        assert view.true_error(best) <= self.EPS
+
+    def test_ledger_cap_stops_before_a_round(self):
+        oracle, w0, _ = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
+        cap = 50_000
+        outcomes, state = refine(oracle, w0, self.GRID, self.EPS, 0.1, ledger_cap=cap)
+        assert state.round > 0
+        assert len(outcomes) < len(self.GRID)
+        # the cap is checked before each round, so at most one round overshoots
+        per_round = gradient_sample_size(10, 200, RefineConfig(), 0.1)
+        assert cap <= oracle.ledger < cap + 2 * per_round
