@@ -4,10 +4,8 @@ label-query lab, against simulated oracles."""
 from .geometry import (
     AngleDecomposition,
     Halfspace,
-    chow_norm,
     chow_vector,
     decompose,
-    disagreement_bound,
     halfspace_bias,
     komatsu_bounds,
     localize_halfspace,

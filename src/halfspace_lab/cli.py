@@ -239,12 +239,7 @@ def prepare_learn(scenario: Scenario) -> tuple[LabelSource, LearnerConfig]:
     before it runs any."""
     source = make_label_source(scenario.noise, build_target(scenario))
     cfg = _apply_overrides(
-        LearnerConfig(
-            epsilon=scenario.epsilon,
-            delta=scenario.delta,
-            budget=scenario.budget,
-        ),
-        scenario.overrides,
+        LearnerConfig(epsilon=scenario.epsilon, delta=scenario.delta), scenario.overrides
     )
     return source, cfg
 
@@ -252,7 +247,7 @@ def prepare_learn(scenario: Scenario) -> tuple[LabelSource, LearnerConfig]:
 def run_learn_scenario(
     scenario: Scenario, source: LabelSource, cfg: LearnerConfig
 ) -> tuple[list[str], RunReport]:
-    oracle = MembershipOracle(source, scenario.seed)
+    oracle = MembershipOracle(source, scenario.seed, budget=scenario.budget)
     small_class = (
         SmallClassOracle(source, scenario.seed) if scenario.small_class_oracle else None
     )
@@ -354,8 +349,6 @@ def run_scenario(scenario: Scenario, out_path: str | None = None, sweep_spec: di
     else:
         scenarios = [scenario]
         if scenario.mode == "sweep":
-            if sweep_spec is None:
-                raise UsageError("sweep mode requires --sweep-file")
             cells = expand_sweep(sweep_spec)
             overrides = {**scenario.overrides, **sweep_spec.get("set", {})}
             scenarios = [Scenario(mode="learn", overrides=overrides, **cell) for cell in cells]
@@ -412,6 +405,11 @@ def main(argv: list[str] | None = None) -> int:
     sweep_file = args.pop("sweep_file", None)
     try:
         scenario = Scenario(overrides=parse_overrides(args.pop("overrides", [])), **args)
+        if (scenario.mode == "sweep") != (sweep_file is not None):
+            raise UsageError("sweep mode needs --sweep-file, and no other mode takes one")
+        flags = ", ".join(sorted("--" + name.replace("_", "-") for name in args if name != "mode"))
+        if scenario.mode == "sweep" and flags:
+            raise UsageError(f"sweep mode takes scenario fields from its file, not from {flags}")
         sweep_spec = None
         if sweep_file is not None:
             with open(sweep_file) as fh:

@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "BiasEstimate",
-    "BudgetExceeded",
     "estimate_bias_doubling",
     "WindowVerdict",
     "WindowResult",
@@ -35,14 +34,6 @@ BRACKET_FACTOR = 4.0
 # returned estimate sits below the stopping level by this factor so the
 # bracket covers the stopping-rule slack under boosting noise
 RETURN_SHRINK = 0.7
-
-
-class BudgetExceeded(RuntimeError):
-    """A query budget cap was hit; carries whatever was known so far."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -69,7 +60,6 @@ def estimate_bias_doubling(
     c_small: float = 4.0,
     samples_per_level: float = 160.0,
     floor_per_level: int = 1000,
-    query_cap: int | None = None,
 ) -> BiasEstimate:
     """Bracket the negative-label mass p by descending a geometric ladder.
 
@@ -93,11 +83,6 @@ def estimate_bias_doubling(
         n = floor_per_level + math.ceil(samples_per_level / p_hat)
         passes = 0
         for _ in range(reps):
-            if query_cap is not None and oracle.ledger - start + n > query_cap:
-                raise BudgetExceeded(
-                    "bias estimation exceeded its query cap",
-                    partial=BiasEstimate("small", p_hat, oracle.ledger - start),
-                )
             labels = oracle.query_batch(oracle.gaussian_points(n))
             if np.mean(labels == -1) >= threshold:
                 passes += 1

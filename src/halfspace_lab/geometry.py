@@ -21,15 +21,12 @@ __all__ = [
     "threshold_for_bias",
     "komatsu_bounds",
     "chow_vector",
-    "chow_norm",
-    "disagreement_bound",
     "decompose",
     "orthonormal_to",
     "localize_halfspace",
     "sqrt_localization_apply",
     "smoothed_halfspace",
     "sign_labels",
-    "angle_between",
 ]
 
 _UNIT_TOL = 1e-9
@@ -131,26 +128,9 @@ def komatsu_bounds(t: float) -> tuple[float, float]:
     return lower, upper
 
 
-def chow_norm(t: float) -> float:
-    """Length of the Chow vector of a halfspace with threshold t."""
-    return math.sqrt(2.0 / math.pi) * math.exp(-t * t / 2.0)
-
-
 def chow_vector(h: Halfspace) -> np.ndarray:
     """E_{z ~ N(0,I)}[z h(z)] = sqrt(2/pi) exp(-t^2/2) w."""
-    return chow_norm(h.t) * h.w
-
-
-def angle_between(w1: np.ndarray, w2: np.ndarray) -> float:
-    a = float(np.clip(np.dot(w1, w2), -1.0, 1.0))
-    return math.acos(a)
-
-
-def disagreement_bound(w1: np.ndarray, w2: np.ndarray, t: float) -> float:
-    """Upper bound sin(theta)/2 * exp(-t^2/2) on the two halfspaces' disagreement mass."""
-    a = float(np.clip(np.dot(w1, w2), -1.0, 1.0))
-    sin_theta = math.sqrt(max(0.0, 1.0 - a * a))
-    return 0.5 * sin_theta * math.exp(-t * t / 2.0)
+    return math.sqrt(2.0 / math.pi) * math.exp(-h.t * h.t / 2.0) * h.w
 
 
 def orthonormal_to(reference: np.ndarray) -> np.ndarray:

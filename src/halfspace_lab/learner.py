@@ -17,11 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimation import (
-    BiasEstimate,
-    BudgetExceeded,
-    estimate_bias_doubling,
-)
+from .estimation import BiasEstimate, estimate_bias_doubling
 from .geometry import AngleDecomposition, Halfspace, decompose, halfspace_bias, threshold_for_bias
 from .initialization import (
     InitConfig,
@@ -30,7 +26,7 @@ from .initialization import (
     init_unextreme,
     use_extreme_init,
 )
-from .oracles import MembershipOracle, SmallClassOracle, estimate_error
+from .oracles import BudgetExceeded, MembershipOracle, SmallClassOracle, estimate_error
 from .refinement import RefineConfig, entry_scale, refine
 from .rng import substream
 
@@ -64,10 +60,8 @@ class LearnerConfig:
     restarts_per_gridpoint: int | None = None
     grid_step: float | None = None
     c_small: float = 4.0
-    tournament_factor: float = 10.0
     init: InitConfig = field(default_factory=InitConfig)
     refine: RefineConfig = field(default_factory=RefineConfig)
-    budget: int | None = None
     eval_samples: int = 100_000
     # skip the query-funded bias ladder when a small-class oracle is given
     bias_from_small_class_draws: int = 2000
@@ -219,7 +213,8 @@ def tournament(
     fewer than MIN_DISAGREEMENT such points is skipped.  A
     candidate that is wrong on clearly more than half of the points
     takes a loss.  The returned candidate has the fewest losses (first
-    on ties).
+    on ties); when the oracle refuses a query (BudgetExceeded), the
+    votes taken so far decide.
     """
     k = len(candidates)
     if k == 0:
@@ -233,19 +228,22 @@ def tournament(
     # epsilon-negligible
     attempt_cap = math.ceil(m_pair * 20.0 / epsilon)
     losses = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            pts = sample_disagreement(candidates[i], candidates[j], oracle, m_pair, attempt_cap)
-            if pts is None:
-                continue
-            labels = oracle.query_batch(pts)
-            wrong_i = float(np.mean(np.asarray(candidates[i](pts)) != labels))
-            wrong_j = float(np.mean(np.asarray(candidates[j](pts)) != labels))
-            margin = 0.5 + 2.0 * gamma
-            if wrong_i > margin:
-                losses[i] += 1
-            if wrong_j > margin:
-                losses[j] += 1
+    try:
+        for i in range(k):
+            for j in range(i + 1, k):
+                pts = sample_disagreement(candidates[i], candidates[j], oracle, m_pair, attempt_cap)
+                if pts is None:
+                    continue
+                labels = oracle.query_batch(pts)
+                wrong_i = float(np.mean(np.asarray(candidates[i](pts)) != labels))
+                wrong_j = float(np.mean(np.asarray(candidates[j](pts)) != labels))
+                margin = 0.5 + 2.0 * gamma
+                if wrong_i > margin:
+                    losses[i] += 1
+                if wrong_j > margin:
+                    losses[j] += 1
+    except BudgetExceeded:
+        pass
     return candidates[int(np.argmin(losses))]
 
 
@@ -267,12 +265,17 @@ def learn(
     cfg: LearnerConfig,
     small_class: SmallClassOracle | None = None,
 ) -> RunReport:
-    """Full learning pipeline against a membership oracle."""
+    """Full learning pipeline against a membership oracle.
+
+    The verdict is ``budget`` whenever the oracle is spent: the stage
+    that met a refused query stops, and the run ends with what it has.
+    """
     rng = substream(oracle.seed, "learner")
     d = oracle.dim
     start = oracle.ledger
     sc_draws0 = small_class.draws if small_class is not None else 0
     n = dict.fromkeys(_COUNTERS, 0)
+    flipped = False
 
     def finish(h, verdict, cands):
         if flipped:
@@ -283,7 +286,7 @@ def learn(
             n["small_class_draws"] = small_class.draws - sc_draws0
         return RunReport(
             hypothesis=h,
-            verdict=verdict,
+            verdict="budget" if oracle.spent else verdict,
             err_estimate=err,
             err_se=se,
             total_queries=oracle.ledger - start,
@@ -292,27 +295,23 @@ def learn(
             **n,
         )
 
-    # orientation check: the pipeline assumes the negative side is the
-    # minority class; flip labels if not
-    probe = oracle.query_batch(oracle.gaussian_points(200))
-    flipped = bool(np.mean(probe == -1) > 0.5)
-    view = _FlippedOracle(oracle) if flipped else oracle
-    sc = None if flipped else small_class
-
-    if sc is not None:
-        bias = _bias_from_small_class(sc, cfg.bias_from_small_class_draws)
-    else:
-        try:
-            bias = estimate_bias_doubling(
-                view, cfg.epsilon, cfg.delta, c_small=cfg.c_small,
-                query_cap=cfg.budget,
-            )
-        except BudgetExceeded:
-            bias = None
+    try:
+        # orientation check: the pipeline assumes the negative side is the
+        # minority class; flip labels if not
+        probe = oracle.query_batch(oracle.gaussian_points(200))
+        flipped = bool(np.mean(probe == -1) > 0.5)
+        view = _FlippedOracle(oracle) if flipped else oracle
+        sc = None if flipped else small_class
+        if sc is not None:
+            bias = _bias_from_small_class(sc, cfg.bias_from_small_class_draws)
+        else:
+            bias = estimate_bias_doubling(view, cfg.epsilon, cfg.delta, c_small=cfg.c_small)
+    except BudgetExceeded:
+        bias = None
     n["queries_bias"] = oracle.ledger - start
     if bias is None or bias.is_small:
         h = constant_plus_one_hypothesis(d)
-        return finish(h, "budget" if bias is None else "constant_plus_one", [h])
+        return finish(h, "constant_plus_one", [h])
 
     p_hat = bias.p_hat
     t_a = max(0.0, threshold_for_bias(min(2.0 * p_hat, 0.999)))
@@ -325,56 +324,46 @@ def learn(
             return init_extreme(view, t, cfg.epsilon, p_hat, cfg.delta, rng, cfg.init, sc)
         return init_unextreme(view, t, cfg.epsilon, cfg.delta, cfg.init, sc)
 
-    # the ledger reading at which the budget is spent
-    cap = None if cfg.budget is None else start + cfg.budget
     candidates: list[Halfspace] = []
-    hit_budget = False
-    for _ in range(cfg.restarts()):
-        # warm-start at the top grid point, falling back down the grid
-        w0 = None
-        for t_init in reversed(grid):
-            if cap is not None and oracle.ledger >= cap:
-                hit_budget = True
-                break
+    try:
+        for _ in range(cfg.restarts()):
+            # warm-start at the top grid point, falling back down the grid
+            w0 = None
+            for t_init in reversed(grid):
+                mark = oracle.ledger
+                try:
+                    w0 = warm_start(t_init)
+                    break
+                except InitFailure:
+                    n["attempts"] += 1
+                    n["init_failures"] += 1
+                finally:
+                    n["queries_init"] += oracle.ledger - mark
+            if w0 is None:
+                continue
             mark = oracle.ledger
-            try:
-                w0 = warm_start(t_init)
-                break
-            except InitFailure:
-                n["attempts"] += 1
-                n["init_failures"] += 1
-            finally:
-                n["queries_init"] += oracle.ledger - mark
-        if hit_budget:
-            break
-        if w0 is None:
-            continue
-        mark = oracle.ledger
-        outcomes, state = refine(
-            view, w0, grid, cfg.epsilon, cfg.delta, cfg.refine,
-            sigma0=entry_scale(t_init),
-            ledger_cap=cap,
-        )
-        n["queries_refine"] += oracle.ledger - mark
-        n["rounds"] += state.round
-        n["attempts"] += len(outcomes)
-        for o in outcomes:
-            if o.hypothesis is None:
-                n["offset_failures"] += 1
-            else:
-                candidates.append(o.hypothesis)
-        if len(outcomes) < len(grid):
-            hit_budget = True
-            break
+            outcomes, state = refine(
+                view, w0, grid, cfg.epsilon, cfg.delta, cfg.refine, sigma0=entry_scale(t_init)
+            )
+            n["queries_refine"] += oracle.ledger - mark
+            n["rounds"] += state.round
+            n["attempts"] += len(outcomes)
+            for o in outcomes:
+                if o.hypothesis is None:
+                    n["offset_failures"] += 1
+                else:
+                    candidates.append(o.hypothesis)
+    except BudgetExceeded:
+        pass
 
     if not candidates:
         h = constant_plus_one_hypothesis(d)
-        return finish(h, "budget" if hit_budget else "constant_plus_one", [h])
+        return finish(h, "constant_plus_one", [h])
 
     mark = oracle.ledger
     winner = tournament(candidates, view, cfg.epsilon, cfg.delta)
     n["queries_tournament"] = oracle.ledger - mark
-    return finish(winner, "budget" if hit_budget else "learned", list(candidates))
+    return finish(winner, "learned", list(candidates))
 
 
 def learn_with_noise_ladder(
@@ -387,7 +376,7 @@ def learn_with_noise_ladder(
 
     Some ladder level lands within a factor 2 of the actual noise level,
     which converts the additive-accuracy guarantee into one relative to
-    the best achievable error.
+    the best achievable error.  All levels share the oracle's budget.
     """
     start = oracle.ledger
     levels = math.ceil(math.log2(1.0 / cfg.epsilon)) + 1
@@ -403,7 +392,7 @@ def learn_with_noise_ladder(
     err, se = _error_and_se(oracle, winner, cfg.eval_samples, "ladder-eval")
     return RunReport(
         hypothesis=winner,
-        verdict="learned",
+        verdict="budget" if oracle.spent else "learned",
         err_estimate=err,
         err_se=se,
         total_queries=oracle.ledger - start,

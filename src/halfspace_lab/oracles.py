@@ -3,9 +3,10 @@
 A LabelSource is the experiment's ground truth: a (possibly randomized)
 labeling rule built around a target halfspace.  A MembershipOracle wraps
 a source with an exact query ledger; every labeled point costs exactly
-one ledger increment.  The evaluation channel (estimate_error) and the
-small-class sampler keep their own counters so reported query
-complexity reflects only learner decisions.
+one ledger increment, and an optional budget caps the ledger.  The
+evaluation channel (estimate_error) and the small-class sampler keep
+their own counters so reported query complexity reflects only learner
+decisions.
 
 WhiteBoxView exposes ground-truth diagnostics (angles, localized
 thresholds, true error).  It exists for tests and reports only; learner
@@ -36,6 +37,7 @@ __all__ = [
     "RandomFlip",
     "BoundaryBand",
     "RegionFlip",
+    "BudgetExceeded",
     "MembershipOracle",
     "SmallClassOracle",
     "SmallClassUnreachable",
@@ -152,13 +154,24 @@ class RegionFlip(LabelSource):
         return np.where(inside, -clean, clean)
 
 
+class BudgetExceeded(RuntimeError):
+    """A membership query would have taken the ledger past its budget."""
+
+
 @dataclass
 class MembershipOracle:
-    """Label access with an exact ledger: one increment per labeled point."""
+    """Label access with an exact ledger: one increment per labeled point.
+
+    With a ``budget``, a query that would take the ledger past it is
+    refused whole: nothing is charged, BudgetExceeded is raised and the
+    oracle is ``spent``, after which every query is refused.
+    """
 
     source: LabelSource
     seed: int
+    budget: int | None = None
     ledger: int = 0
+    spent: bool = field(default=False, init=False)
     _rng: np.random.Generator = field(init=False, repr=False)
     _gauss: np.random.Generator = field(init=False, repr=False)
 
@@ -170,11 +183,17 @@ class MembershipOracle:
     def dim(self) -> int:
         return self.source.dim
 
+    def _charge(self, n: int) -> None:
+        if self.spent or (self.budget is not None and self.ledger + n > self.budget):
+            self.spent = True
+            raise BudgetExceeded(f"{n} queries refused at ledger {self.ledger}, budget {self.budget}")
+        self.ledger += n
+
     def query(self, x: np.ndarray) -> int:
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
             raise ValueError("query point must be finite")
-        self.ledger += 1
+        self._charge(1)
         return int(self.source.sample_labels(x[None, :], self._rng)[0])
 
     def query_batch(self, X: np.ndarray) -> np.ndarray:
@@ -182,7 +201,7 @@ class MembershipOracle:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if not np.isfinite(X).all():
             raise ValueError("query points must be finite")
-        self.ledger += X.shape[0]
+        self._charge(X.shape[0])
         return self.source.sample_labels(X, self._rng)
 
     def gaussian_points(self, n: int, dim: int | None = None) -> np.ndarray:

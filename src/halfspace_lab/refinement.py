@@ -24,7 +24,7 @@ from .estimation import (
     probability_window_check,
 )
 from .geometry import Halfspace
-from .oracles import MembershipOracle, localized_query_batch
+from .oracles import BudgetExceeded, MembershipOracle, localized_query_batch
 
 __all__ = [
     "RefineConfig",
@@ -201,7 +201,6 @@ def refine(
     delta: float,
     cfg: RefineConfig | None = None,
     sigma0: float | None = None,
-    ledger_cap: int | None = None,
 ) -> tuple[list[GridOutcome], RefineState]:
     """One descent from w0 that resolves every grid threshold.
 
@@ -213,9 +212,9 @@ def refine(
     t_j's hypothesis.  A round whose own offset search fails ends the
     descent, and every grid point not yet resolved fails with it.
 
-    Before each round the descent stops if the ledger has reached
-    ``ledger_cap``; grid points it has not resolved then are left out of
-    the returned outcomes, which are in resolution order.
+    The oracle refusing a query (BudgetExceeded) also ends the descent:
+    it returns the outcomes resolved so far, in resolution order, and
+    the state after its last complete round.
     """
     cfg = cfg or RefineConfig()
     t_top = max(grid)
@@ -235,21 +234,22 @@ def refine(
         ledger_start=oracle.ledger,
     )
     outcomes: list[GridOutcome] = []
-    for rounds, t_j in due:
-        while state.round < rounds:
-            if ledger_cap is not None and oracle.ledger >= ledger_cap:
-                return outcomes, state
+    try:
+        for rounds, t_j in due:
+            while state.round < rounds:
+                try:
+                    state = refine_round(oracle, state, t_top, cfg, delta, total)
+                except OffsetNotFound:
+                    outcomes += [
+                        GridOutcome(t, state.sigma, state.round, None) for _, t in due[len(outcomes):]
+                    ]
+                    return outcomes, state
             try:
-                state = refine_round(oracle, state, t_top, cfg, delta, total)
+                t_hat = search_offset(oracle, state.w, state.sigma, t_j, cfg, delta)
+                h = Halfspace(state.w, t_hat)
             except OffsetNotFound:
-                outcomes += [
-                    GridOutcome(t, state.sigma, state.round, None) for _, t in due[len(outcomes):]
-                ]
-                return outcomes, state
-        try:
-            t_hat = search_offset(oracle, state.w, state.sigma, t_j, cfg, delta)
-            h = Halfspace(state.w, t_hat)
-        except OffsetNotFound:
-            h = None
-        outcomes.append(GridOutcome(t_j, state.sigma, state.round, h))
+                h = None
+            outcomes.append(GridOutcome(t_j, state.sigma, state.round, h))
+    except BudgetExceeded:
+        pass
     return outcomes, state

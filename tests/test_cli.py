@@ -119,6 +119,19 @@ class TestMainModes:
         assert main(["--mode", "sweep", "--sweep-file", str(sweep), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_sweep_takes_set_and_out(self, tmp_path):
+        # --set next to a sweep file acts as the file's "set" would
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text('{"dim": 5, "set": {"restarts_per_gridpoint": 1}}')
+        b.write_text('{"dim": 5}')
+        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["--mode", "sweep", "--sweep-file", str(a), "--out", str(out_a)]) == 0
+        assert main([
+            "--mode", "sweep", "--sweep-file", str(b), "--set", "restarts_per_gridpoint=1",
+            "--out", str(out_b),
+        ]) == 0
+        assert out_a.read_bytes() == out_b.read_bytes()
+
     def test_lowerbound_mode(self, tmp_path):
         out = tmp_path / "lb.csv"
         code = main([
@@ -161,7 +174,13 @@ class TestMainModes:
             sweep = tmp_path / f"sweep{i}.json"
             sweep.write_text(text)
             assert main(["--mode", "sweep", "--sweep-file", str(sweep)]) == 1, text
+        # sweep mode takes no scenario flags, and only sweep mode takes a file
+        sweep = tmp_path / "seed.json"
+        sweep.write_text('{"seed": 3}')
         for argv in (
+            ["--mode", "sweep", "--sweep-file", str(sweep), "--dim", "5", "--epsilon", "0.2"],
+            ["--mode", "learn", "--sweep-file", str(sweep)],
+            ["--mode", "learn", "--set", "tournament_factor=3"],
             ["--mode", "learn", "--noise", "rcn:0.7"],
             ["--mode", "learn", "--noise", "band:-1"],
             ["--mode", "learn", "--set", "refine.c1=2"],
@@ -172,7 +191,7 @@ class TestMainModes:
             assert main(argv) == 1, argv
         assert learns == []
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert len(errors) == 3 + len(sweeps) + 6
+        assert len(errors) == 3 + len(sweeps) + 9
         assert all(line.startswith("halfspace-lab: error: ") for line in errors)
 
     def test_budget_exit_2(self):
@@ -183,8 +202,8 @@ class TestMainModes:
         assert code == 2
 
     def test_budget_checked_before_each_descent_round(self, tmp_path):
-        # the budget runs out inside the first descent: the descent stops
-        # before its next round and the row counts the rounds it ran
+        # the budget runs out inside the first descent: the oracle refuses
+        # the batch that would pass it and the row counts the rounds run
         out = tmp_path / "budget.csv"
         code = main([
             "--mode", "learn", "--dim", "10", "--tstar", "1.0", "--epsilon", "0.02",
@@ -195,5 +214,20 @@ class TestMainModes:
         header, rows = read_csv(out)
         row = dict(zip(header, rows[0]))
         assert row["verdict"] == "budget"
-        assert int(row["total_queries"]) <= 110_000
+        assert int(row["total_queries"]) <= 100_000
         assert int(row["rounds"]) > 0
+
+    def test_budget_spent_in_tournament_exits_2(self, tmp_path):
+        # two restarts reach the tournament just under this budget
+        out = tmp_path / "budget.csv"
+        code = main([
+            "--mode", "learn", "--dim", "10", "--tstar", "1.0", "--epsilon", "0.02",
+            "--seed", "0", "--budget", "1166000", "--set", "restarts_per_gridpoint=2",
+            "--out", str(out),
+        ])
+        assert code == 2
+        header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert row["verdict"] == "budget"
+        assert int(row["queries_tournament"]) > 0
+        assert int(row["total_queries"]) <= 1_166_000

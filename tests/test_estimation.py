@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from halfspace_lab.estimation import (
-    BudgetExceeded,
     WindowVerdict,
     empirical_projected_chow,
     estimate_bias_doubling,
@@ -36,13 +35,6 @@ class TestBiasDoubling:
         o = make_oracle(0.2)
         est = estimate_bias_doubling(o, epsilon=0.01, delta=0.1)
         assert est.queries_used == o.ledger
-
-    def test_budget_cap_raises_with_partial(self):
-        o = make_oracle(0.05)
-        with pytest.raises(BudgetExceeded) as info:
-            estimate_bias_doubling(o, epsilon=0.001, delta=0.1, query_cap=2000)
-        assert info.value.partial is not None
-        assert o.ledger <= 2000
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

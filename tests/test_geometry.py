@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 from halfspace_lab.geometry import (
     Halfspace,
-    angle_between,
-    chow_norm,
     chow_vector,
     decompose,
-    disagreement_bound,
     halfspace_bias,
     komatsu_bounds,
     localize_halfspace,
@@ -104,12 +101,13 @@ class TestHalfspace:
 class TestChow:
     @pytest.mark.parametrize("t,expected", sorted(CHOW_NORM.items()))
     def test_norm_matches_reference(self, t, expected):
-        assert chow_norm(t) == pytest.approx(expected, rel=1e-12)
+        h = Halfspace(np.array([0.6, 0.8]), t)
+        assert np.linalg.norm(chow_vector(h)) == pytest.approx(expected, rel=1e-12)
 
     def test_vector_is_along_w(self, rng):
         h = random_halfspace(rng, 5)
         c = chow_vector(h)
-        assert np.allclose(c, chow_norm(h.t) * h.w)
+        assert np.allclose(c, np.linalg.norm(c) * h.w)
 
 
 class TestDecompose:
@@ -190,28 +188,3 @@ class TestSmoothing:
         h = random_halfspace(rng, 3)
         g = smoothed_halfspace(h, rng.standard_normal(3), 1.0)
         assert np.allclose(g.w, h.w) and g.t == pytest.approx(h.t)
-
-
-class TestAngles:
-    def test_angle_between_orthogonal(self):
-        assert angle_between(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(math.pi / 2)
-
-    def test_disagreement_bound_shrinks_with_angle_and_threshold(self, rng):
-        w = unit_vector(rng, 4)
-        u = orthonormal_to(w)
-        near = math.cos(0.1) * w + math.sin(0.1) * u
-        far = math.cos(0.8) * w + math.sin(0.8) * u
-        assert disagreement_bound(w, near, 0.0) < disagreement_bound(w, far, 0.0)
-        assert disagreement_bound(w, far, 2.0) < disagreement_bound(w, far, 0.0)
-
-    def test_disagreement_bound_is_a_bound(self, rng):
-        # Monte Carlo disagreement never exceeds the closed-form bound (+MC slack)
-        d = 6
-        w = unit_vector(rng, d)
-        u = orthonormal_to(w)
-        for theta, t in [(0.3, 0.0), (0.6, 1.0)]:
-            v = math.cos(theta) * w + math.sin(theta) * u
-            h1, h2 = Halfspace(w, t), Halfspace(v / np.linalg.norm(v), t)
-            X = rng.standard_normal((40_000, d))
-            emp = float(np.mean(np.asarray(h1(X)) != np.asarray(h2(X))))
-            assert emp <= disagreement_bound(h1.w, h2.w, t) + 0.01

@@ -28,10 +28,17 @@ from halfspace_lab.rng import substream
 from conftest import rotated_from, unit_vector
 
 
-def make_oracle(t=1.0, d=6, seed=0):
+def make_oracle(t=1.0, d=6, seed=0, budget=None):
     rng = substream(seed, "learner-setup")
     w_star = unit_vector(rng, d)
-    return MembershipOracle(CleanLabels(Halfspace(w_star, t)), seed)
+    return MembershipOracle(CleanLabels(Halfspace(w_star, t)), seed, budget=budget)
+
+
+def stage_sum(report):
+    return (
+        report.queries_bias + report.queries_init
+        + report.queries_refine + report.queries_tournament
+    )
 
 
 FAST = LearnerConfig(epsilon=0.02, delta=0.1, restarts_per_gridpoint=1)
@@ -197,13 +204,7 @@ class TestLearn:
     def test_stage_counts_sum_to_ledger(self):
         oracle = make_oracle(t=1.0, d=5, seed=3)
         report = learn(oracle, FAST)
-        stages = (
-            report.queries_bias
-            + report.queries_init
-            + report.queries_refine
-            + report.queries_tournament
-        )
-        assert stages == report.total_queries == oracle.ledger
+        assert stage_sum(report) == report.total_queries == oracle.ledger
         # failed attempts are counted too; this learn has some
         assert report.verdict == "learned"
         assert report.init_failures + report.offset_failures > 0
@@ -256,13 +257,42 @@ class TestLearn:
         assert report.err_estimate <= 0.1
 
     def test_budget_verdict(self):
-        oracle = make_oracle(t=1.0, d=5, seed=1)
-        report = learn(
-            oracle,
-            LearnerConfig(epsilon=0.02, restarts_per_gridpoint=1, budget=5000),
-        )
+        oracle = make_oracle(t=1.0, d=5, seed=1, budget=5000)
+        report = learn(oracle, FAST)
         assert report.verdict == "budget"
-        assert report.total_queries <= 5000 + 1
+        assert report.total_queries <= 5000
+
+    # the unbudgeted learn at d=10, t=1, seed 0 spends 67,428 queries on
+    # the probe and bias ladder, then 2,604 per warm start; with two
+    # restarts it reaches the tournament at ledger 1,168,120
+    @pytest.mark.parametrize("budget,restarts,stage", [
+        (150, 1, "probe"),
+        (20_000, 1, "bias"),
+        (68_500, 1, "init"),
+        (100_000, 1, "refine"),
+        (1_170_000, 2, "tournament"),
+    ])
+    def test_budget_is_a_hard_ceiling(self, budget, restarts, stage):
+        oracle = make_oracle(t=1.0, d=10, seed=0, budget=budget)
+        cfg = LearnerConfig(epsilon=0.02, restarts_per_gridpoint=restarts)
+        report = learn(oracle, cfg)
+        assert oracle.spent
+        assert report.verdict == "budget"
+        assert oracle.ledger <= budget
+        assert stage_sum(report) == report.total_queries == oracle.ledger
+        # the stage that met the refused query, and none after it, charged
+        reached = {
+            "probe": report.total_queries == 0,
+            "bias": 200 < report.queries_bias == report.total_queries,
+            "init": 0 < report.queries_init and report.queries_refine == 0,
+            "refine": report.rounds > 0 and report.queries_tournament == 0,
+            "tournament": report.queries_tournament > 0,
+        }
+        assert reached[stage]
+        # a learn without a candidate reports its constant fallback as one
+        fallback = report.hypothesis.t == constant_plus_one_hypothesis(10).t
+        produced = 0 if fallback else len(report.candidates)
+        assert report.attempts == produced + report.init_failures + report.offset_failures
 
     def test_small_class_oracle_replaces_exploration_queries(self):
         # bias bracketing and negative anchors come from free draws, so the
@@ -294,11 +324,7 @@ class TestNoiseLadder:
         levels = math.ceil(math.log2(1.0 / cfg.epsilon)) + 1
         assert len(report.candidates) == levels
         assert report.err_estimate <= 0.15
-        stages = (
-            report.queries_bias + report.queries_init
-            + report.queries_refine + report.queries_tournament
-        )
-        assert stages == report.total_queries == oracle.ledger
+        assert stage_sum(report) == report.total_queries == oracle.ledger
         # the ladder's levels, replayed in order on a twin oracle
         twin = make_oracle(t=0.5, d=4, seed=6)
         level_reports = [
@@ -308,3 +334,11 @@ class TestNoiseLadder:
         assert [r.hypothesis.t for r in level_reports] == [h.t for h in report.candidates]
         for name in ("attempts", "rounds", "small_class_draws"):
             assert getattr(report, name) == sum(getattr(r, name) for r in level_reports), name
+
+    def test_levels_share_one_budget(self):
+        oracle = make_oracle(t=1.0, d=10, seed=0, budget=20_000)
+        report = learn_with_noise_ladder(oracle, LearnerConfig(epsilon=0.05, restarts_per_gridpoint=1))
+        assert oracle.spent
+        assert report.verdict == "budget"
+        assert oracle.ledger <= 20_000
+        assert stage_sum(report) == report.total_queries == oracle.ledger

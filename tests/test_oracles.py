@@ -4,6 +4,7 @@ import pytest
 from halfspace_lab.geometry import Halfspace, halfspace_bias, threshold_for_bias
 from halfspace_lab.oracles import (
     BoundaryBand,
+    BudgetExceeded,
     CleanLabels,
     MembershipOracle,
     RandomFlip,
@@ -90,6 +91,25 @@ class TestMembershipOracle:
         o = make_oracle()
         with pytest.raises(ValueError):
             o.query(np.array([np.nan, 0.0, 0.0, 0.0]))
+
+    def test_budget_refuses_a_batch_whole(self):
+        o = MembershipOracle(make_oracle().source, seed=0, budget=20)
+        o.query_batch(o.gaussian_points(15))
+        with pytest.raises(BudgetExceeded):
+            o.query_batch(o.gaussian_points(6))
+        assert o.spent
+        assert o.ledger == 15
+        # once spent, a query that would fit is refused too
+        with pytest.raises(BudgetExceeded):
+            o.query(np.zeros(4))
+        assert o.ledger == 15
+
+    def test_batch_landing_on_budget_is_accepted(self):
+        o = MembershipOracle(make_oracle().source, seed=0, budget=20)
+        o.query_batch(o.gaussian_points(19))
+        o.query(np.zeros(4))
+        assert o.ledger == 20
+        assert not o.spent
 
     def test_rejects_non_finite_query_batch(self):
         o = make_oracle()

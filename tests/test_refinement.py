@@ -150,9 +150,11 @@ class TestDescent:
     def test_ledger_cap_stops_before_a_round(self):
         oracle, w0, _ = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
         cap = 50_000
-        outcomes, state = refine(oracle, w0, self.GRID, self.EPS, 0.1, ledger_cap=cap)
+        oracle.budget = cap
+        outcomes, state = refine(oracle, w0, self.GRID, self.EPS, 0.1)
+        # the oracle refused a batch mid-round: the descent returns the
+        # rounds it completed and charges nothing past the budget
+        assert oracle.spent
         assert state.round > 0
         assert len(outcomes) < len(self.GRID)
-        # the cap is checked before each round, so at most one round overshoots
-        per_round = gradient_sample_size(10, 200, RefineConfig(), 0.1)
-        assert cap <= oracle.ledger < cap + 2 * per_round
+        assert oracle.ledger <= cap
