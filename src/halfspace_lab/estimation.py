@@ -26,6 +26,12 @@ __all__ = [
 ]
 
 LADDER_BASE = 4.0 / 5.0
+# the ladder declares the bias small once its level drops below
+# C_SMALL * epsilon
+C_SMALL = 4.0
+# queries per repetition at level p_hat: FLOOR_PER_LEVEL + SAMPLES_PER_LEVEL / p_hat
+SAMPLES_PER_LEVEL = 160.0
+FLOOR_PER_LEVEL = 1000
 # stop rule compares the empirical negative frequency against 5/6 of
 # the current ladder level
 LADDER_THRESHOLD_FACTOR = 5.0 / 6.0
@@ -41,7 +47,7 @@ class BiasEstimate:
     """Either a multiplicative bracket on the bias or a 'small' verdict.
 
     verdict "bracket": the estimator asserts p_hat <= p <= 4 * p_hat.
-    verdict "small": the estimator asserts p <= C_small * epsilon.
+    verdict "small": the estimator asserts p <= C_SMALL * epsilon.
     """
 
     verdict: str
@@ -57,18 +63,15 @@ def estimate_bias_doubling(
     oracle,
     epsilon: float,
     delta: float,
-    c_small: float = 4.0,
-    samples_per_level: float = 160.0,
-    floor_per_level: int = 1000,
 ) -> BiasEstimate:
     """Bracket the negative-label mass p by descending a geometric ladder.
 
     Levels p_hat_i = (4/5)^i / 2.  At each level, take
-    floor + samples_per_level / p_hat fresh Gaussian queries per
-    repetition, compare the negative frequency against (5/6) p_hat, and
-    majority-boost over O(log 1/delta) repetitions.  Stop at the first
-    passing level, or declare the bias small once the ladder descends
-    below c_small * epsilon.
+    FLOOR_PER_LEVEL + SAMPLES_PER_LEVEL / p_hat fresh Gaussian queries
+    per repetition, compare the negative frequency against (5/6) p_hat,
+    and majority-boost over O(log 1/delta) repetitions.  Stop at the
+    first passing level, or declare the bias small once the ladder
+    descends below C_SMALL * epsilon.
     """
     if not (0.0 < epsilon < 1.0 and 0.0 < delta < 1.0):
         raise ValueError("epsilon and delta must lie in (0, 1)")
@@ -77,10 +80,10 @@ def estimate_bias_doubling(
     level = 0
     while True:
         p_hat = 0.5 * LADDER_BASE ** level
-        if p_hat < c_small * epsilon:
+        if p_hat < C_SMALL * epsilon:
             return BiasEstimate("small", p_hat, oracle.ledger - start)
         threshold = LADDER_THRESHOLD_FACTOR * p_hat
-        n = floor_per_level + math.ceil(samples_per_level / p_hat)
+        n = FLOOR_PER_LEVEL + math.ceil(SAMPLES_PER_LEVEL / p_hat)
         passes = 0
         for _ in range(reps):
             labels = oracle.query_batch(oracle.gaussian_points(n))

@@ -13,8 +13,6 @@ requirement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .estimation import empirical_projected_chow
@@ -27,7 +25,6 @@ from .oracles import (
 )
 
 __all__ = [
-    "InitConfig",
     "InitFailure",
     "NoNegativeFound",
     "find_negative_example",
@@ -47,27 +44,20 @@ class NoNegativeFound(InitFailure):
     """No minority-label point found within the search cap."""
 
 
-@dataclass(frozen=True)
-class InitConfig:
-    # m = chow_sample_multiplier * d * log(1/epsilon) smoothed queries
-    chow_sample_multiplier: float = 60.0
-    extreme_rounds_cap: int = 6
-    angle_test_repeats: int = 24
-    # per-round angle-test samples: angle_sample_multiplier * 400 / p_ref,
-    # sized to resolve p_ref/20, capped to keep one round affordable
-    angle_sample_multiplier: float = 4.0
-    angle_sample_cap: int = 250_000
-    # sweep spacing for the localization-scale search; None = 1/log(1/epsilon)
-    grid_step: float | None = None
-    negative_search_cap: int = 200_000
-    # small-class draws used per probability estimate in oracle-aided mode
-    small_class_probe_draws: int = 400
-    # step/contraction constants for the extreme initializer's rounds
-    c1: float = 8.01
-    c2: float = 16.0
-
-    def step(self, epsilon: float) -> float:
-        return self.grid_step if self.grid_step is not None else 1.0 / math.log(1.0 / epsilon)
+# m = CHOW_SAMPLE_MULTIPLIER * d * log(1/epsilon) smoothed queries
+CHOW_SAMPLE_MULTIPLIER = 60.0
+EXTREME_ROUNDS_CAP = 6
+ANGLE_TEST_REPEATS = 24
+# per-round angle-test samples: ANGLE_SAMPLE_MULTIPLIER * 400 / p_ref,
+# sized to resolve p_ref/20, capped to keep one round affordable
+ANGLE_SAMPLE_MULTIPLIER = 4.0
+ANGLE_SAMPLE_CAP = 250_000
+NEGATIVE_SEARCH_CAP = 200_000
+# small-class draws used per probability estimate in oracle-aided mode
+SMALL_CLASS_PROBE_DRAWS = 400
+# step/contraction constants for the extreme initializer's rounds
+EXTREME_C1 = 8.01
+EXTREME_C2 = 16.0
 
 
 def use_extreme_init(t: float, epsilon: float, p_hat: float) -> bool:
@@ -108,17 +98,15 @@ def init_unextreme(
     t: float,
     epsilon: float,
     delta: float,
-    cfg: InitConfig | None = None,
     small_class: SmallClassOracle | None = None,
 ) -> np.ndarray:
     """Warm start from the Chow vector of smoothed labels at a negative anchor."""
     if t < 0:
         raise ValueError("threshold guess must be non-negative")
-    cfg = cfg or InitConfig()
-    x0 = find_negative_example(oracle, cfg.negative_search_cap, small_class)
+    x0 = find_negative_example(oracle, NEGATIVE_SEARCH_CAP, small_class)
     rho = min(1.0 / t, 1.0) if t > 0 else 1.0
     d = oracle.dim
-    m = math.ceil(cfg.chow_sample_multiplier * d * math.log(1.0 / epsilon))
+    m = math.ceil(CHOW_SAMPLE_MULTIPLIER * d * math.log(1.0 / epsilon))
     Z = oracle.gaussian_points(m)
     u0 = empirical_projected_chow(
         lambda pts: smoothed_query_batch(oracle, x0, rho, pts), Z
@@ -170,10 +158,9 @@ def _negative_rate(
     n: int,
     small_class: SmallClassOracle | None,
     p_hat: float | None,
-    sc_draws: int,
 ) -> float:
     if small_class is not None and p_hat is not None:
-        return _small_class_negative_rate(small_class, w, s, sigma, p_hat, sc_draws)
+        return _small_class_negative_rate(small_class, w, s, sigma, p_hat, SMALL_CLASS_PROBE_DRAWS)
     labels = localized_query_batch(oracle, w, s, sigma, oracle.gaussian_points(n))
     return float(np.mean(labels == -1))
 
@@ -185,7 +172,6 @@ def angle_test(
     b: float,
     delta: float,
     rng: np.random.Generator,
-    cfg: InitConfig | None = None,
     small_class: SmallClassOracle | None = None,
     p_hat: float | None = None,
 ) -> bool:
@@ -196,25 +182,19 @@ def angle_test(
     halfspace with threshold (t - a s)/b, and vote.  True (yes) means b
     is usable as a localization scale.
     """
-    cfg = cfg or InitConfig()
     if not (0.0 < b < 1.0):
         raise ValueError("b must lie in (0, 1)")
     if t <= 1.0:
         raise ValueError("angle test needs t > 1 (localization scale 1/t)")
     a = math.sqrt(1.0 - b * b)
     sigma = 1.0 / t
-    T = cfg.angle_test_repeats
+    T = ANGLE_TEST_REPEATS
     count = 0
     for _ in range(T):
         s = rng.uniform(a * t, a * t + b)
         p_ref = halfspace_bias((t - a * s) / b)
-        n = min(
-            cfg.angle_sample_cap,
-            math.ceil(cfg.angle_sample_multiplier * 400.0 / p_ref),
-        )
-        p_emp = _negative_rate(
-            oracle, w, s, sigma, n, small_class, p_hat, cfg.small_class_probe_draws
-        )
+        n = min(ANGLE_SAMPLE_CAP, math.ceil(ANGLE_SAMPLE_MULTIPLIER * 400.0 / p_ref))
+        p_emp = _negative_rate(oracle, w, s, sigma, n, small_class, p_hat)
         if p_emp > p_ref / 3.0:
             count += 1
     return count > 3 * T / 4
@@ -265,7 +245,6 @@ def init_extreme(
     p_hat: float,
     delta: float,
     rng: np.random.Generator,
-    cfg: InitConfig | None = None,
     small_class: SmallClassOracle | None = None,
 ) -> np.ndarray:
     """Warm start for large thresholds: smoothed-Chow start plus a few
@@ -275,24 +254,22 @@ def init_extreme(
     scale passes the angle test, a degenerate localized bias, no
     localized negative) ends the rounds and returns the current w.
     """
-    cfg = cfg or InitConfig()
-    w = init_unextreme(oracle, t, epsilon, delta, cfg, small_class)
+    w = init_unextreme(oracle, t, epsilon, delta, small_class)
     eta = epsilon / p_hat
     if not (0.0 < eta < 1.0):
         return w
     sigma_i = eta * math.sqrt(max(math.log(1.0 / eta), 0.0))
     if sigma_i <= 0.0:
         return w
-    step = cfg.step(epsilon)
-    mu = (1.0 - 1.0 / cfg.c1) * sigma_i
+    # sweep spacing for the localization-scale search
+    step = 1.0 / math.log(1.0 / epsilon)
+    mu = (1.0 - 1.0 / EXTREME_C1) * sigma_i
     d = oracle.dim
-    for _ in range(cfg.extreme_rounds_cap):
+    for _ in range(EXTREME_ROUNDS_CAP):
         b_hat = None
         b_sweep = 2.0 * sigma_i
         while b_sweep >= 1.0 / t and b_sweep > 0.0:
-            if b_sweep < 1.0 and angle_test(
-                oracle, w, t, b_sweep, delta, rng, cfg, small_class, p_hat
-            ):
+            if b_sweep < 1.0 and angle_test(oracle, w, t, b_sweep, delta, rng, small_class, p_hat):
                 b_hat = b_sweep
                 break
             b_sweep -= step
@@ -302,13 +279,8 @@ def init_extreme(
         s = rng.uniform(a_hat * t, a_hat * t + b_hat)
         # pin down the localized bias to pick the inner localization scale
         p_ref = halfspace_bias((t - a_hat * s) / b_hat)
-        n = min(
-            cfg.angle_sample_cap,
-            math.ceil(cfg.angle_sample_multiplier * 400.0 / p_ref),
-        )
-        p_s = _negative_rate(
-            oracle, w, s, 1.0 / t, n, small_class, p_hat, cfg.small_class_probe_draws
-        )
+        n = min(ANGLE_SAMPLE_CAP, math.ceil(ANGLE_SAMPLE_MULTIPLIER * 400.0 / p_ref))
+        p_s = _negative_rate(oracle, w, s, 1.0 / t, n, small_class, p_hat)
         if not (0.0 < p_s < 1.0):
             return w
         t_s = threshold_for_bias(p_s)
@@ -320,7 +292,7 @@ def init_extreme(
             z0 = _localized_negative(oracle, w, s, sigma_in, epsilon, small_class, rng)
         except InitFailure:
             return w
-        m = math.ceil(cfg.chow_sample_multiplier * d * math.log(1.0 / epsilon))
+        m = math.ceil(CHOW_SAMPLE_MULTIPLIER * d * math.log(1.0 / epsilon))
         Z = oracle.gaussian_points(m)
         shift = math.sqrt(max(0.0, 1.0 - rho * rho))
 
@@ -332,6 +304,6 @@ def init_extreme(
         g = empirical_projected_chow(query_fn, Z, exclude=w)
         stepped = w + mu * g
         w = stepped / np.linalg.norm(stepped)
-        sigma_i *= 1.0 - 1.0 / cfg.c2
-        mu = (1.0 - 1.0 / cfg.c1) * sigma_i
+        sigma_i *= 1.0 - 1.0 / EXTREME_C2
+        mu = (1.0 - 1.0 / EXTREME_C1) * sigma_i
     return w

@@ -19,13 +19,7 @@ import numpy as np
 
 from .estimation import BiasEstimate, estimate_bias_doubling
 from .geometry import AngleDecomposition, Halfspace, decompose, halfspace_bias, threshold_for_bias
-from .initialization import (
-    InitConfig,
-    InitFailure,
-    init_extreme,
-    init_unextreme,
-    use_extreme_init,
-)
+from .initialization import InitFailure, init_extreme, init_unextreme, use_extreme_init
 from .oracles import BudgetExceeded, MembershipOracle, SmallClassOracle, estimate_error
 from .refinement import RefineConfig, entry_scale, refine
 from .rng import substream
@@ -44,6 +38,11 @@ __all__ = [
 _CONSTANT_T = 40.0
 # fewest disagreement points a tournament pair needs to be voted on
 MIN_DISAGREEMENT = 10
+# held-out draws behind the reported error estimate
+EVAL_SAMPLES = 100_000
+# small-class draws that replace the query-funded bias ladder when a
+# small-class oracle is given
+BIAS_FROM_SMALL_CLASS_DRAWS = 2000
 
 
 def constant_plus_one_hypothesis(dim: int) -> Halfspace:
@@ -59,12 +58,7 @@ class LearnerConfig:
     # attempts per grid threshold; None = ln^2(1/eps) ln(1/delta), capped
     restarts_per_gridpoint: int | None = None
     grid_step: float | None = None
-    c_small: float = 4.0
-    init: InitConfig = field(default_factory=InitConfig)
     refine: RefineConfig = field(default_factory=RefineConfig)
-    eval_samples: int = 100_000
-    # skip the query-funded bias ladder when a small-class oracle is given
-    bias_from_small_class_draws: int = 2000
 
     def restarts(self) -> int:
         if self.restarts_per_gridpoint is not None:
@@ -281,7 +275,7 @@ def learn(
         if flipped:
             h = h.flipped()
             cands = [c.flipped() for c in cands]
-        err, se = _error_and_se(oracle, h, cfg.eval_samples, "final-eval")
+        err, se = _error_and_se(oracle, h, EVAL_SAMPLES, "final-eval")
         if small_class is not None:
             n["small_class_draws"] = small_class.draws - sc_draws0
         return RunReport(
@@ -303,9 +297,9 @@ def learn(
         view = _FlippedOracle(oracle) if flipped else oracle
         sc = None if flipped else small_class
         if sc is not None:
-            bias = _bias_from_small_class(sc, cfg.bias_from_small_class_draws)
+            bias = _bias_from_small_class(sc, BIAS_FROM_SMALL_CLASS_DRAWS)
         else:
-            bias = estimate_bias_doubling(view, cfg.epsilon, cfg.delta, c_small=cfg.c_small)
+            bias = estimate_bias_doubling(view, cfg.epsilon, cfg.delta)
     except BudgetExceeded:
         bias = None
     n["queries_bias"] = oracle.ledger - start
@@ -321,8 +315,8 @@ def learn(
 
     def warm_start(t):
         if use_extreme_init(t, cfg.epsilon, p_hat):
-            return init_extreme(view, t, cfg.epsilon, p_hat, cfg.delta, rng, cfg.init, sc)
-        return init_unextreme(view, t, cfg.epsilon, cfg.delta, cfg.init, sc)
+            return init_extreme(view, t, cfg.epsilon, p_hat, cfg.delta, rng, sc)
+        return init_unextreme(view, t, cfg.epsilon, cfg.delta, sc)
 
     candidates: list[Halfspace] = []
     try:
@@ -389,7 +383,7 @@ def learn_with_noise_ladder(
     mark = oracle.ledger
     winner = tournament(pool, oracle, cfg.epsilon, cfg.delta)
     n["queries_tournament"] += oracle.ledger - mark
-    err, se = _error_and_se(oracle, winner, cfg.eval_samples, "ladder-eval")
+    err, se = _error_and_se(oracle, winner, EVAL_SAMPLES, "ladder-eval")
     return RunReport(
         hypothesis=winner,
         verdict="budget" if oracle.spent else "learned",

@@ -48,6 +48,17 @@ class OffsetNotFound(RuntimeError):
     """
 
 
+# bisection steers the localized negative rate into this band, where
+# the gradient signal is strongest
+BIAS_WINDOW = (0.25, 0.75)
+# a collapsed bracket is still accepted if the rate lies in here
+# (the band can be unreachable inside [0, t'] in early rounds)
+VALIDITY_WINDOW = (0.02, 0.98)
+MAX_BISECTION_STEPS = 60
+# bisection stops refining the bracket below this fraction of sigma
+RESOLUTION_FACTOR = 0.25
+
+
 @dataclass(frozen=True)
 class RefineConfig:
     # per-round step size mu = sigma / c1 and contraction sigma' = (1 - 1/c2) sigma;
@@ -58,22 +69,10 @@ class RefineConfig:
     # stop once sigma <= c_stop * epsilon * exp(t'^2 / 2)
     c_stop: float = 1.0
     grad_samples_multiplier: float = 40.0
-    # bisection steers the localized negative rate into this band, where
-    # the gradient signal is strongest
-    bias_window: tuple[float, float] = (0.25, 0.75)
-    # a collapsed bracket is still accepted if the rate lies in here
-    # (the band can be unreachable inside [0, t'] in early rounds)
-    validity_window: tuple[float, float] = (0.02, 0.98)
-    max_bisection_steps: int = 60
-    # bisection stops refining the bracket below this fraction of sigma
-    resolution_factor: float = 0.25
 
     def __post_init__(self):
         if not (self.c1 > 8 and self.c2 > 8):
             raise ValueError("c1 and c2 must exceed 8")
-        lo, hi = self.bias_window
-        if not (0.0 < lo < hi < 1.0):
-            raise ValueError("bias window must satisfy 0 < lo < hi < 1")
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,6 @@ def search_offset(
     w: np.ndarray,
     sigma: float,
     t_prime: float,
-    cfg: RefineConfig,
     delta: float,
 ) -> float:
     """Find an offset whose localized negative-label rate is in-window.
@@ -111,11 +109,11 @@ def search_offset(
         raise ValueError("sigma must lie in (0, 1/2]")
     if t_prime < 0:
         raise ValueError("t_prime must be non-negative")
-    delta_probe = delta / cfg.max_bisection_steps
+    delta_probe = delta / MAX_BISECTION_STEPS
     lo_t, hi_t = 0.0, t_prime
-    resolution = cfg.resolution_factor * sigma
-    val_lo, val_hi = cfg.validity_window
-    for _ in range(cfg.max_bisection_steps):
+    resolution = RESOLUTION_FACTOR * sigma
+    val_lo, val_hi = VALIDITY_WINDOW
+    for _ in range(MAX_BISECTION_STEPS):
         mid = 0.5 * (lo_t + hi_t)
 
         def sample(n: int, offset: float = mid) -> np.ndarray:
@@ -123,7 +121,7 @@ def search_offset(
                 oracle, w, offset, sigma, oracle.gaussian_points(n)
             )
 
-        result = probability_window_check(sample, cfg.bias_window, delta_probe)
+        result = probability_window_check(sample, BIAS_WINDOW, delta_probe)
         if result.verdict == WindowVerdict.IN_WINDOW:
             return mid
         if hi_t - lo_t < resolution:
@@ -132,7 +130,7 @@ def search_offset(
             if val_lo < result.p_emp < val_hi:
                 return mid
             break
-        if result.side(*cfg.bias_window) == "low":
+        if result.side(*BIAS_WINDOW) == "low":
             lo_t = mid
         else:
             hi_t = mid
@@ -156,7 +154,7 @@ def refine_round(
     total_rounds: int,
 ) -> RefineState:
     """One localize / re-center / gradient-step round."""
-    t_tilde = search_offset(oracle, state.w, state.sigma, t_prime, cfg, delta)
+    t_tilde = search_offset(oracle, state.w, state.sigma, t_prime, delta)
     m = gradient_sample_size(state.w.shape[0], total_rounds, cfg, delta)
     Z = oracle.gaussian_points(m)
     g = empirical_projected_chow(
@@ -245,7 +243,7 @@ def refine(
                     ]
                     return outcomes, state
             try:
-                t_hat = search_offset(oracle, state.w, state.sigma, t_j, cfg, delta)
+                t_hat = search_offset(oracle, state.w, state.sigma, t_j, delta)
                 h = Halfspace(state.w, t_hat)
             except OffsetNotFound:
                 h = None

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from halfspace_lab.estimation import (
+    C_SMALL,
     WindowVerdict,
     empirical_projected_chow,
     estimate_bias_doubling,
@@ -27,9 +28,9 @@ class TestBiasDoubling:
         assert est.p_hat <= p <= 4.0 * est.p_hat
 
     def test_small_verdict_for_tiny_bias(self):
-        est = estimate_bias_doubling(make_oracle(0.001), epsilon=0.01, delta=0.1, c_small=4.0)
+        est = estimate_bias_doubling(make_oracle(0.001), epsilon=0.01, delta=0.1)
         assert est.is_small
-        assert est.p_hat < 4.0 * 0.01
+        assert est.p_hat < C_SMALL * 0.01
 
     def test_queries_match_ledger(self):
         o = make_oracle(0.2)

@@ -5,7 +5,6 @@ import pytest
 
 from halfspace_lab.geometry import Halfspace, threshold_for_bias
 from halfspace_lab.initialization import (
-    InitConfig,
     NoNegativeFound,
     angle_test,
     find_negative_example,
@@ -170,7 +169,6 @@ class TestInitExtreme:
             epsilon=1e-4,
             p_hat=halfspace_bias(t),
             delta=0.1,
-            cfg=InitConfig(small_class_probe_draws=100),
             rng=rng,
             small_class=SmallClassOracle(oracle.source, seed=8),
         )
@@ -199,7 +197,6 @@ class TestInitExtreme:
         rng = NeverAccept(substream(2, "never-accept"))
         w = init_extreme(
             oracle, t, epsilon=5e-5, p_hat=halfspace_bias(t), delta=0.1, rng=rng,
-            cfg=InitConfig(small_class_probe_draws=100),
             small_class=SmallClassOracle(oracle.source, seed=2),
         )
         assert rng.coins > 0

@@ -9,6 +9,7 @@ from halfspace_lab.refinement import (
     OffsetNotFound,
     RefineConfig,
     RefineState,
+    VALIDITY_WINDOW,
     entry_scale,
     gradient_sample_size,
     planned_rounds,
@@ -53,25 +54,24 @@ class TestConfig:
 class TestSearchOffset:
     def test_finds_in_window_offset(self):
         oracle, w0, view = setup_problem(angle=0.4)
-        cfg = RefineConfig()
-        t_tilde = search_offset(oracle, w0, 0.5, 1.0, cfg, delta=0.1)
+        t_tilde = search_offset(oracle, w0, 0.5, 1.0, delta=0.1)
         assert 0.0 <= t_tilde <= 1.0
         # white-box: the hidden localized negative rate is non-degenerate
         from halfspace_lab.geometry import halfspace_bias
 
         rate = halfspace_bias(view.localized_threshold(w0, 0.5, t_tilde))
-        assert cfg.validity_window[0] < rate < cfg.validity_window[1]
+        assert VALIDITY_WINDOW[0] < rate < VALIDITY_WINDOW[1]
 
     def test_impossible_geometry_raises(self):
         # a target so far out that no offset in [0, t'] produces negatives
         oracle, w0, _ = setup_problem(t=12.0, angle=0.05)
         with pytest.raises(OffsetNotFound):
-            search_offset(oracle, w0, 0.02, 1.0, RefineConfig(), delta=0.1)
+            search_offset(oracle, w0, 0.02, 1.0, delta=0.1)
 
     def test_rejects_bad_sigma(self):
         oracle, w0, _ = setup_problem()
         with pytest.raises(ValueError):
-            search_offset(oracle, w0, 0.9, 1.0, RefineConfig(), delta=0.1)
+            search_offset(oracle, w0, 0.9, 1.0, delta=0.1)
 
 
 class TestRefineRound:
