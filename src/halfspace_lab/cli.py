@@ -209,7 +209,12 @@ def parse_overrides(pairs: list[str]) -> dict:
 def _apply_overrides(cfg: LearnerConfig, overrides: dict) -> LearnerConfig:
     """Dotted keys (``refine.c_stop``) go to the stage config held in the
     LearnerConfig field before the dot, bare keys to the learner config;
-    unknown keys and rejected values are usage errors."""
+    unknown keys, keys that name a scenario field and rejected values are
+    usage errors."""
+    for key in overrides:
+        if key in _SWEEP_FIELDS:
+            flag = "--" + key.replace("_", "-")
+            raise UsageError(f"{key} is set by {flag} (or a sweep field), not by --set")
     stages = {
         f.name: {} for f in dataclasses.fields(cfg) if dataclasses.is_dataclass(getattr(cfg, f.name))
     }

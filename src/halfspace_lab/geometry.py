@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 __all__ = [
     "Halfspace",
@@ -104,18 +104,11 @@ def halfspace_bias(t: float) -> float:
     return 0.5 * float(erfc(t / math.sqrt(2.0)))
 
 
-def threshold_for_bias(p: float, tol: float = 1e-6) -> float:
-    """Inverse of halfspace_bias on (0, 1), by bisection to ``tol``."""
+def threshold_for_bias(p: float) -> float:
+    """Inverse of halfspace_bias on (0, 1): t = -Phi^{-1}(p)."""
     if not (0.0 < p < 1.0):
         raise ValueError("bias must lie in (0, 1)")
-    lo, hi = -40.0, 40.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if halfspace_bias(mid) > p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return -float(ndtri(p))
 
 
 def komatsu_bounds(t: float) -> tuple[float, float]:

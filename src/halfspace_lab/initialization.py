@@ -13,6 +13,7 @@ requirement.
 from __future__ import annotations
 
 import math
+
 import numpy as np
 
 from .estimation import empirical_projected_chow
@@ -135,7 +136,6 @@ def _small_class_negative_rate(
     s: float,
     sigma: float,
     p_hat: float,
-    n_draws: int,
 ) -> float:
     """Estimate Pr(label(A^{1/2}z - sv) = -1) without membership queries.
 
@@ -144,7 +144,7 @@ def _small_class_negative_rate(
     negatives; q has a closed form and q_minus is averaged over
     small-class draws.
     """
-    X = small_class.draw_batch(n_draws)
+    X = small_class.draw_batch(SMALL_CLASS_PROBE_DRAWS)
     q_minus = float(np.mean(rejection_acceptance_prob(v, s, sigma, X)))
     q = sigma * math.exp(-(s ** 2) / (2.0 * (1.0 - sigma ** 2)))
     return min(1.0, p_hat * q_minus / q)
@@ -160,7 +160,7 @@ def _negative_rate(
     p_hat: float | None,
 ) -> float:
     if small_class is not None and p_hat is not None:
-        return _small_class_negative_rate(small_class, w, s, sigma, p_hat, SMALL_CLASS_PROBE_DRAWS)
+        return _small_class_negative_rate(small_class, w, s, sigma, p_hat)
     labels = localized_query_batch(oracle, w, s, sigma, oracle.gaussian_points(n))
     return float(np.mean(labels == -1))
 

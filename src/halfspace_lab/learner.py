@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import erfcx
 
 from .estimation import BiasEstimate, estimate_bias_doubling
 from .geometry import AngleDecomposition, Halfspace, decompose, halfspace_bias, threshold_for_bias
@@ -120,7 +121,7 @@ class _FlippedOracle:
 
 def _inverse_mills(t: float) -> float:
     """phi(t) / Phi(-t): mean depth of the negative-side margin."""
-    return math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi) / halfspace_bias(t)
+    return math.sqrt(2.0 / math.pi) / float(erfcx(t / math.sqrt(2.0)))
 
 
 def _bias_from_small_class(small_class: SmallClassOracle, n: int) -> BiasEstimate:
@@ -128,21 +129,20 @@ def _bias_from_small_class(small_class: SmallClassOracle, n: int) -> BiasEstimat
 
     The mean of Gaussian points conditioned on the negative side of a
     halfspace has norm phi(t)/Phi(-t); inverting that recovers the
-    threshold and hence the bias.
+    threshold and hence the bias.  The inverse Mills ratio lam is
+    increasing and convex with lam' = lam (lam - t) and lam(t) > t, so
+    Newton steps from t = norm descend monotonically onto the root.
     """
     X = small_class.draw_batch(n)
     norm = float(np.linalg.norm(np.mean(X, axis=0)))
-    lo_t, hi_t = 0.0, 39.0
-    if norm <= _inverse_mills(0.0):
-        t_est = 0.0
-    else:
-        while hi_t - lo_t > 1e-6:
-            mid = 0.5 * (lo_t + hi_t)
-            if _inverse_mills(mid) < norm:
-                lo_t = mid
-            else:
-                hi_t = mid
-        t_est = 0.5 * (lo_t + hi_t)
+    t_est = 0.0
+    if norm > _inverse_mills(0.0):
+        t_est = norm
+        step = math.inf
+        while step > 1e-12:
+            lam = _inverse_mills(t_est)
+            step = (lam - norm) / (lam * (lam - t_est))
+            t_est -= step
     return BiasEstimate("bracket", 0.5 * halfspace_bias(t_est), 0)
 
 

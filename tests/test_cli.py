@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,15 @@ LEARN_COLUMNS = [
 def read_csv(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def test_import_loads_only_scipy_special():
+    # scipy.optimize and scipy.stats would add to every run's start-up
+    # time and memory; the closed forms need only scipy.special
+    code = "import sys, halfspace_lab.cli; print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestParsing:
@@ -169,6 +182,7 @@ class TestMainModes:
             '{"set": 3}',
             '{"noise": ["clean", "rcn:0.7"], "dim": 5, "epsilon": 0.05}',
             '{"dim": [4, 5], "set": {"refine.c1": 2}}',
+            '{"set": {"delta": 0.2}}',
         ]
         for i, text in enumerate(sweeps):
             sweep = tmp_path / f"sweep{i}.json"
@@ -177,7 +191,7 @@ class TestMainModes:
         # sweep mode takes no scenario flags, and only sweep mode takes a file
         sweep = tmp_path / "seed.json"
         sweep.write_text('{"seed": 3}')
-        for argv in (
+        argvs = [
             ["--mode", "sweep", "--sweep-file", str(sweep), "--dim", "5", "--epsilon", "0.2"],
             ["--mode", "learn", "--sweep-file", str(sweep)],
             ["--mode", "learn", "--set", "tournament_factor=3"],
@@ -187,12 +201,20 @@ class TestMainModes:
             ["--mode", "learn", "--tstar", "nan"],
             ["--mode", "lowerbound", "--set", "m=abc"],
             ["--mode", "lowerbound", "--set", "M=200"],
-        ):
+            # --set takes neither a scenario field nor a value folded into a constant
+            ["--mode", "learn", "--epsilon", "0.05", "--set", "epsilon=0.2"],
+            ["--mode", "learn", "--set", "init.c2=16"],
+            ["--mode", "learn", "--set", "refine.bias_window=(0.2,0.8)"],
+            ["--mode", "learn", "--set", "eval_samples=1000"],
+        ]
+        for argv in argvs:
             assert main(argv) == 1, argv
         assert learns == []
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert len(errors) == 3 + len(sweeps) + 9
+        assert len(errors) == 3 + len(sweeps) + len(argvs)
         assert all(line.startswith("halfspace-lab: error: ") for line in errors)
+        assert any("--set" in line and "--epsilon" in line for line in errors)
+        assert any("--set" in line and "--delta" in line for line in errors)
 
     def test_budget_exit_2(self):
         code = main([

@@ -46,10 +46,10 @@ class TestBias:
     def test_matches_reference(self, t, expected):
         assert halfspace_bias(t) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("p", [0.4, 0.25, 0.1, 0.01, 1e-4, 1e-8])
+    @pytest.mark.parametrize("p", [0.4, 0.25, 0.1, 0.01, 1e-4, 1e-8, 1e-30, 1e-100])
     def test_threshold_roundtrip(self, p):
         t = threshold_for_bias(p)
-        assert halfspace_bias(t) == pytest.approx(p, rel=1e-4)
+        assert halfspace_bias(t) == pytest.approx(p, rel=1e-12, abs=0.0)
 
     def test_threshold_rejects_degenerate_bias(self):
         with pytest.raises(ValueError):

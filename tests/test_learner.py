@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import ndtr, owens_t
+from scipy.special import erfcx, ndtr, owens_t
 
 import halfspace_lab.learner as learner
 from halfspace_lab.geometry import Halfspace
@@ -45,12 +46,45 @@ FAST = LearnerConfig(epsilon=0.02, delta=0.1, restarts_per_gridpoint=1)
 
 
 class TestConfig:
+    def test_settable_values(self):
+        # the learn-mode --set keys, plus the two values the scenario owns
+        def paths(cfg, prefix=""):
+            for f in dataclasses.fields(cfg):
+                value = getattr(cfg, f.name)
+                if dataclasses.is_dataclass(value):
+                    yield from paths(value, f"{prefix}{f.name}.")
+                else:
+                    yield prefix + f.name
+
+        assert sorted(paths(LearnerConfig(epsilon=0.1))) == sorted([
+            "epsilon", "delta", "restarts_per_gridpoint", "grid_step",
+            "refine.c1", "refine.c2", "refine.c_stop", "refine.grad_samples_multiplier",
+        ])
+
     def test_default_restarts_capped(self):
         assert LearnerConfig(epsilon=1e-6).restarts() == 40
 
     def test_default_grid_step(self):
         cfg = LearnerConfig(epsilon=0.01)
         assert cfg.step() == pytest.approx(1.0 / (2.0 * math.log(100.0)))
+
+
+class TestBiasFromSmallClass:
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.5, 5.0])
+    def test_inverts_the_inverse_mills_ratio(self, t):
+        # every draw sits at depth phi(t) / Phi(-t) = sqrt(2/pi) / erfcx(t/sqrt(2)),
+        # the mean depth of the negative side of a halfspace at threshold t
+        depth = math.sqrt(2.0 / math.pi) / erfcx(t / math.sqrt(2.0))
+
+        class FakeSmallClass:
+            def draw_batch(self, n):
+                X = np.zeros((n, 3))
+                X[:, 0] = depth
+                return X
+
+        est = learner._bias_from_small_class(FakeSmallClass(), 2000)
+        assert est.p_hat == pytest.approx(ndtr(-t) / 2.0, rel=1e-9, abs=0.0)
+        assert est.queries_used == 0
 
 
 class TestTournament:
