@@ -355,7 +355,9 @@ def learn(
         return finish(h, "constant_plus_one", [h])
 
     mark = oracle.ledger
-    winner = tournament(candidates, view, cfg.epsilon, cfg.delta)
+    # a spent oracle refuses every vote: the first candidate wins unsampled
+    # (the real oracle is asked, as the flipped view has no ``spent``)
+    winner = candidates[0] if oracle.spent else tournament(candidates, view, cfg.epsilon, cfg.delta)
     n["queries_tournament"] = oracle.ledger - mark
     return finish(winner, "learned", list(candidates))
 
@@ -381,7 +383,7 @@ def learn_with_noise_ladder(
     pool = [r.hypothesis for r in reports]
     n = {k: sum(getattr(r, k) for r in reports) for k in _COUNTERS}
     mark = oracle.ledger
-    winner = tournament(pool, oracle, cfg.epsilon, cfg.delta)
+    winner = pool[0] if oracle.spent else tournament(pool, oracle, cfg.epsilon, cfg.delta)
     n["queries_tournament"] += oracle.ledger - mark
     err, se = _error_and_se(oracle, winner, EVAL_SAMPLES, "ladder-eval")
     return RunReport(

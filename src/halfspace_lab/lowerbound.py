@@ -93,23 +93,46 @@ def negative_capture_prob(
     return float(np.mean(np.all(margins < 0, axis=1)))
 
 
-class RandomOrder:
-    """Reveals pool points in a random order."""
+class _Walk:
+    """Reveals pool points along a fixed order, built once per pool,
+    skipping the points already revealed.  The caller reveals each
+    index it is handed."""
 
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._order = None
-        self._pos = 0
+    def __init__(self):
+        self._pool = None
+
+    def _order(self, pool: Pool) -> np.ndarray:
+        raise NotImplementedError
 
     def next(self, pool: Pool, negatives: list[int]) -> int:
-        if self._order is None:
-            self._order = self._rng.permutation(pool.size)
+        if pool is not self._pool:
+            self._pool, self._seq, self._pos = pool, self._order(pool), 0
         while self._pos < pool.size:
-            i = int(self._order[self._pos])
+            i = int(self._seq[self._pos])
             self._pos += 1
             if i not in pool.revealed:
                 return i
         raise RuntimeError("pool exhausted")
+
+
+class RandomOrder(_Walk):
+    """Reveals pool points in a random order."""
+
+    def __init__(self, rng: np.random.Generator):
+        super().__init__()
+        self._rng = rng
+
+    def _order(self, pool: Pool) -> np.ndarray:
+        return self._rng.permutation(pool.size)
+
+
+# GreedyDirection scores the whole pool afresh once its bound leaves more
+# than m / _RESCORE_SHARE rows to score exactly: past that the pruned step
+# saves little, and a fresh reference mean tightens the bound again
+_RESCORE_SHARE = 32
+# bound on the rounding error of a float64 dot product x.mu, in units of
+# |x| |mu|; d times the unit roundoff stays below it up to d = 10^6
+_ROUNDING = 1e-9
 
 
 class GreedyDirection:
@@ -117,30 +140,69 @@ class GreedyDirection:
 
     Until a first negative shows up it behaves like RandomOrder; after
     that it reveals the unrevealed point with the largest projection on
-    the running mean of negative points.
+    the running mean of negative points, lowest index on ties.
+
+    It does not score the whole pool per reveal.  The scores c = P mu_ref
+    of its last full rescore bound the current ones by Cauchy-Schwarz,
+    x.mu <= c + |x| |mu - mu_ref|, so only rows whose bound reaches the
+    exact score of the bound's leader are scored, and the pick is the one
+    a full rescore would make.  A near-tie among them, which another
+    summation order could rank differently, is settled by a full rescore.
+    The state holds for one pool and one game's growing list of
+    negatives, and starts afresh when handed another.  The caller reveals
+    each index it is handed, and nothing else reveals during the game.
     """
 
     def __init__(self, rng: np.random.Generator):
         self._fallback = RandomOrder(rng)
+        self._pool = self._negatives = None
 
     def next(self, pool: Pool, negatives: list[int]) -> int:
         if not negatives:
             return self._fallback.next(pool, negatives)
-        direction = np.mean(pool.points[negatives], axis=0)
-        scores = pool.points @ direction
-        for i in pool.revealed:
-            scores[i] = -np.inf
-        return int(np.argmax(scores))
+        if pool is not self._pool:
+            self._pool, self._negatives = pool, None
+            self._norms = np.linalg.norm(pool.points, axis=1)
+        if negatives is not self._negatives:
+            # a new game: its list of negatives only grows from here on
+            self._negatives, self._count, self._ref = negatives, 0, None
+            self._sum = np.zeros(pool.points.shape[1])
+        # rows added one at a time, as np.mean sums them
+        for i in negatives[self._count:]:
+            self._sum += pool.points[i]
+        self._count = len(negatives)
+        mu = self._sum / self._count
+        i = None if self._ref is None else self._pruned_pick(mu)
+        if i is None:
+            # score the whole pool; mu becomes the reference
+            self._ref, self._scores = mu, pool.points @ mu
+            self._scores[np.fromiter(pool.revealed, dtype=np.intp)] = -np.inf
+            i = int(np.argmax(self._scores))
+        self._scores[i] = -np.inf
+        return i
+
+    def _pruned_pick(self, mu: np.ndarray) -> int | None:
+        """The pick among the rows the bound leaves, or None when a full
+        rescore must decide."""
+        points, norms = self._pool.points, self._norms
+        tol = _ROUNDING * max(np.linalg.norm(mu), np.linalg.norm(self._ref))
+        ub = self._scores + norms * (np.linalg.norm(mu - self._ref) + 2.0 * tol)
+        j = int(np.argmax(ub))
+        rows = np.flatnonzero(ub >= points[j] @ mu - tol * norms[j])
+        if rows.size > len(norms) // _RESCORE_SHARE:
+            return None
+        scores = points[rows] @ mu
+        k = int(np.argmax(scores))
+        near = scores >= scores[k] - tol * (norms[rows] + norms[rows[k]])
+        return int(rows[k]) if np.count_nonzero(near) == 1 else None
 
 
-class OracleAided:
+class OracleAided(_Walk):
     """White-box cheat baseline: reveals by true margin, most negative first."""
 
-    def next(self, pool: Pool, negatives: list[int]) -> int:
-        scores = pool.target.margins(pool.points)
-        for i in pool.revealed:
-            scores[i] = np.inf
-        return int(np.argmin(scores))
+    def _order(self, pool: Pool) -> np.ndarray:
+        # a stable sort puts the lowest index first among ties, as argmin does
+        return np.argsort(pool.target.margins(pool.points), kind="stable")
 
 
 def play_query_game(

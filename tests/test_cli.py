@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from halfspace_lab import cli
+from halfspace_lab import cli, learner
 from halfspace_lab.cli import (
     LOWERBOUND_HEADER,
     Scenario,
@@ -162,6 +162,19 @@ class TestMainModes:
             "game_queries_used",
         ]
 
+    def test_lowerbound_greedy_game_pinned(self, tmp_path):
+        # the greedy game prunes its rescoring; its reveals must not move
+        out = tmp_path / "lb.csv"
+        assert main([
+            "--mode", "lowerbound", "--dim", "200", "--tstar", "1.0", "--seed", "0",
+            "--set", "m=20000", "--set", "strategy=greedy", "--set", "game_negatives=1000",
+            "--set", "tuples=20", "--set", "trials=2000", "--out", str(out),
+        ]) == 0
+        _, rows = read_csv(out)
+        stats = {r[2]: r[3] for r in rows}
+        assert stats["game_negatives_found"] == "1000"
+        assert stats["game_queries_used"] == "1376"
+
     def test_selftest_mode(self, capsys):
         assert main(["--mode", "selftest"]) == 0
 
@@ -253,3 +266,26 @@ class TestMainModes:
         assert row["verdict"] == "budget"
         assert int(row["queries_tournament"]) > 0
         assert int(row["total_queries"]) <= 1_166_000
+
+    def test_spent_oracle_skips_the_tournament(self, tmp_path, monkeypatch):
+        # the budget runs out in refine: no vote can be taken, so the first
+        # candidate wins without sampling a single disagreement point
+        calls = []
+        sample = learner.sample_disagreement
+        monkeypatch.setattr(
+            learner, "sample_disagreement", lambda *args: calls.append(args) or sample(*args)
+        )
+        out = tmp_path / "budget.csv"
+        code = main([
+            "--mode", "learn", "--dim", "10", "--tstar", "1.0", "--epsilon", "0.02",
+            "--seed", "0", "--budget", "1100000", "--set", "restarts_per_gridpoint=2",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert calls == []
+        header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert (row["verdict"], row["err_estimate"], row["total_queries"]) == (
+            "budget", "0.00351", "1099608",
+        )
+        assert row["queries_tournament"] == "0"

@@ -44,7 +44,7 @@ CHOW_NORM = {
 class TestBias:
     @pytest.mark.parametrize("t,expected", sorted(PHI_NEG.items()))
     def test_matches_reference(self, t, expected):
-        assert halfspace_bias(t) == pytest.approx(expected, rel=1e-12)
+        assert halfspace_bias(t) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("p", [0.4, 0.25, 0.1, 0.01, 1e-4, 1e-8, 1e-30, 1e-100])
     def test_threshold_roundtrip(self, p):
@@ -102,7 +102,7 @@ class TestChow:
     @pytest.mark.parametrize("t,expected", sorted(CHOW_NORM.items()))
     def test_norm_matches_reference(self, t, expected):
         h = Halfspace(np.array([0.6, 0.8]), t)
-        assert np.linalg.norm(chow_vector(h)) == pytest.approx(expected, rel=1e-12)
+        assert np.linalg.norm(chow_vector(h)) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_vector_is_along_w(self, rng):
         h = random_halfspace(rng, 5)

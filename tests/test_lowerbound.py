@@ -16,11 +16,70 @@ from halfspace_lab.rng import substream
 from conftest import unit_vector
 
 
-def make_pool(m=500, d=10, p=0.2, seed=0):
+def make_pool(m=500, d=10, p=0.2, seed=0, copies=1):
+    """A Gaussian pool; with copies > 1 its m rows are that many copies of
+    m / copies distinct rows, so scores and margins tie exactly."""
     rng = substream(seed, "pool-setup")
-    points = rng.standard_normal((m, d))
+    points = np.tile(rng.standard_normal((m // copies, d)), (copies, 1))
     target = Halfspace(unit_vector(rng, d), threshold_for_bias(p))
     return Pool(points, target), rng
+
+
+class ReferenceGreedy:
+    """GreedyDirection by brute force: rescores the whole pool per reveal."""
+
+    def __init__(self, rng):
+        self._fallback = RandomOrder(rng)
+
+    def next(self, pool, negatives):
+        if not negatives:
+            return self._fallback.next(pool, negatives)
+        direction = np.mean(pool.points[negatives], axis=0)
+        scores = pool.points @ direction
+        for i in pool.revealed:
+            scores[i] = -np.inf
+        return int(np.argmax(scores))
+
+
+class ReferenceOracleAided:
+    """OracleAided by brute force: recomputes every margin per reveal."""
+
+    def next(self, pool, negatives):
+        scores = pool.target.margins(pool.points)
+        for i in pool.revealed:
+            scores[i] = np.inf
+        return int(np.argmin(scores))
+
+
+STRATEGIES = {
+    "greedy": (GreedyDirection, ReferenceGreedy),
+    "oracle": (lambda rng: OracleAided(), lambda rng: ReferenceOracleAided()),
+}
+
+
+def reveal_order(pool, strategy, target_negatives, budget):
+    """The indices a game reveals, in order, and the game's result."""
+    order = []
+
+    class Recorder:
+        def next(self, pool, negatives):
+            order.append(strategy.next(pool, negatives))
+            return order[-1]
+
+    return order, play_query_game(pool, Recorder(), target_negatives, budget)
+
+
+def assert_same_reveals(kind, target_negatives, budget=None, pre_reveal=(), **pool_args):
+    """Plays the same game with a strategy and its brute-force reference,
+    each on a fresh copy of the pool, and checks they reveal alike."""
+    runs = []
+    for build in STRATEGIES[kind]:
+        pool, rng = make_pool(**pool_args)
+        for i in pre_reveal:
+            pool.reveal(i)
+        runs.append(reveal_order(pool, build(rng), target_negatives, budget or pool.size))
+    assert runs[0] == runs[1]
+    return runs[0]
 
 
 class TestPool:
@@ -135,3 +194,54 @@ class TestQueryGame:
         pool, rng = make_pool()
         with pytest.raises(ValueError):
             play_query_game(pool, RandomOrder(rng), 1, budget=0)
+
+
+class TestRevealOrder:
+    """GreedyDirection and OracleAided skip the per-reveal rescan of the
+    pool; they must still reveal exactly what the brute force reveals."""
+
+    @pytest.mark.parametrize("kind", ["greedy", "oracle"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_small_pools(self, kind, seed):
+        order, (found, _) = assert_same_reveals(kind, 40, m=4000, d=15, p=0.05, seed=seed)
+        assert found == 40
+
+    def test_large_pool(self):
+        order, (found, used) = assert_same_reveals("greedy", 500, m=20_000, d=200, p=0.16, seed=3)
+        assert found == 500 and used == len(order)
+
+    @pytest.mark.parametrize("kind", ["greedy", "oracle"])
+    def test_duplicated_rows_tie_to_the_lowest_index(self, kind):
+        order, _ = assert_same_reveals(kind, 100, m=2000, d=10, p=0.2, seed=4, copies=4)
+        # every row has three copies 500 apart, so the ties were met
+        steps = np.diff(order)
+        assert np.any(steps % 500 == 0)
+
+    @pytest.mark.parametrize("kind", ["greedy", "oracle"])
+    def test_points_revealed_before_the_game(self, kind):
+        early = range(0, 4000, 7)
+        order, _ = assert_same_reveals(kind, 40, pre_reveal=early, m=4000, d=15, p=0.05, seed=5)
+        assert not set(order) & set(early)
+
+    @pytest.mark.parametrize("kind", ["greedy", "oracle"])
+    def test_game_stopped_by_budget(self, kind):
+        order, (found, used) = assert_same_reveals(kind, 1000, budget=60, m=4000, d=15, p=0.05, seed=6)
+        assert used == len(order) == 60 and found < 1000
+
+    @pytest.mark.parametrize("kind", ["greedy", "oracle"])
+    def test_new_game_or_pool_resets_state(self, kind):
+        build, build_reference = STRATEGIES[kind]
+        strategy = build(substream(8, "reuse"))
+        pool_a, _ = make_pool(m=2000, d=15, p=0.05, seed=8)
+        pool_b, _ = make_pool(m=2000, d=15, p=0.05, seed=9)
+        # a second game on pool_a, then a game on pool_b, same strategy
+        for pool, target in ((pool_a, 2), (pool_a, 20), (pool_b, 20)):
+            negatives = []
+            while len(negatives) < target:
+                i = strategy.next(pool, negatives)
+                # a fresh reference: its picks depend only on the pool and
+                # the negatives (greedy's random fallback aside)
+                if negatives or kind == "oracle":
+                    assert i == build_reference(None).next(pool, negatives)
+                if pool.reveal(i) == -1:
+                    negatives.append(i)
