@@ -33,7 +33,7 @@ from .estimation import (
 )
 from .initialization import angle_test, init_extreme, init_unextreme
 from .refinement import RefineConfig, refine, refine_round, search_offset
-from .learner import LearnerConfig, RunReport, learn, learn_with_noise_ladder, tournament
+from .learner import LearnerConfig, RunReport, learn, tournament
 from .lowerbound import (
     GreedyDirection,
     OracleAided,

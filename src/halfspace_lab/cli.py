@@ -2,10 +2,10 @@
 
 Four modes: ``learn`` runs the full pipeline on one scenario, ``sweep``
 cross-products scenario fields from a JSON file, ``lowerbound`` runs the
-pool-based lab statistics, and ``selftest`` runs the fast property
-suite.  The product is CSV on disk (or stdout): identical (scenario,
-seed) reruns produce byte-identical output.  Wall-clock time goes to
-stderr only, never into the CSV.
+pool-based lab statistics, and ``selftest`` is a smoke run of the learn
+and query-game paths.  The product is CSV on disk (or stdout):
+identical (scenario, seed) reruns produce byte-identical output.
+Wall-clock time goes to stderr only, never into the CSV.
 
 Exit codes: 0 ok, 1 usage error, 2 budget exceeded, 3 selftest failure.
 """
@@ -292,6 +292,12 @@ def run_lowerbound_scenario(scenario: Scenario) -> list[list[str]]:
         game_budget = m if ov["game_budget"] is None else int(ov["game_budget"])
     except (TypeError, ValueError) as exc:
         raise UsageError(f"lowerbound override: {exc}") from None
+    counts = {"m": m, "k": k, "tuples": tuples, "trials": trials, "game_budget": game_budget}
+    low = [key for key, value in counts.items() if value < 1]
+    if low:
+        raise UsageError(f"lowerbound values must be at least 1: {', '.join(low)}")
+    if k > m:
+        raise UsageError(f"lowerbound override k={k} exceeds the pool size m={m}")
     strategy_name = str(ov["strategy"])
     if strategy_name not in _STRATEGIES:
         raise UsageError(f"unknown strategy {strategy_name!r} (use random | greedy | oracle)")

@@ -13,7 +13,7 @@ voting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erfcx
@@ -22,14 +22,13 @@ from .estimation import BiasEstimate, estimate_bias_doubling
 from .geometry import AngleDecomposition, Halfspace, decompose, halfspace_bias, threshold_for_bias
 from .initialization import InitFailure, init_extreme, init_unextreme, use_extreme_init
 from .oracles import BudgetExceeded, MembershipOracle, SmallClassOracle, estimate_error
-from .refinement import RefineConfig, entry_scale, refine
+from .refinement import RefineConfig, entry_scale, is_finite_positive, refine
 from .rng import substream
 
 __all__ = [
     "LearnerConfig",
     "RunReport",
     "learn",
-    "learn_with_noise_ladder",
     "tournament",
     "sample_disagreement",
     "constant_plus_one_hypothesis",
@@ -60,6 +59,13 @@ class LearnerConfig:
     restarts_per_gridpoint: int | None = None
     grid_step: float | None = None
     refine: RefineConfig = field(default_factory=RefineConfig)
+
+    def __post_init__(self):
+        r = self.restarts_per_gridpoint
+        if r is not None and not (isinstance(r, int) and is_finite_positive(r)):
+            raise ValueError(f"restarts_per_gridpoint must be an integer >= 1, got {r!r}")
+        if self.grid_step is not None and not is_finite_positive(self.grid_step):
+            raise ValueError(f"grid_step must be a finite positive number, got {self.grid_step!r}")
 
     def restarts(self) -> int:
         if self.restarts_per_gridpoint is not None:
@@ -93,30 +99,6 @@ class RunReport:
     attempts: int = 0
     init_failures: int = 0
     offset_failures: int = 0
-
-
-class _FlippedOracle:
-    """Label-negating view sharing the underlying oracle's ledger."""
-
-    def __init__(self, inner: MembershipOracle):
-        self._inner = inner
-
-    @property
-    def dim(self) -> int:
-        return self._inner.dim
-
-    @property
-    def ledger(self) -> int:
-        return self._inner.ledger
-
-    def query(self, x):
-        return -self._inner.query(x)
-
-    def query_batch(self, X):
-        return -self._inner.query_batch(X)
-
-    def gaussian_points(self, n, dim=None):
-        return self._inner.gaussian_points(n, dim)
 
 
 def _inverse_mills(t: float) -> float:
@@ -241,7 +223,7 @@ def tournament(
     return candidates[int(np.argmin(losses))]
 
 
-# RunReport's counters: ``learn`` fills them, the noise ladder sums them
+# RunReport's counters, which ``learn`` fills
 _COUNTERS = (
     "queries_bias", "queries_init", "queries_refine", "queries_tournament",
     "small_class_draws", "rounds", "attempts", "init_failures", "offset_failures",
@@ -261,9 +243,20 @@ def learn(
 ) -> RunReport:
     """Full learning pipeline against a membership oracle.
 
-    The verdict is ``budget`` whenever the oracle is spent: the stage
-    that met a refused query stops, and the run ends with what it has.
+    The pipeline assumes the negative side is the minority class.  When
+    a probe finds it is not, the run sets the oracle's ``label_sign`` to
+    -1 and un-flips its hypotheses; learn sets the sign back to +1 before
+    it returns or raises.  The verdict is ``budget`` whenever the oracle
+    is spent: the stage that met a refused query stops, and the run ends
+    with what it has.
     """
+    try:
+        return _learn(oracle, cfg, small_class)
+    finally:
+        oracle.label_sign = 1
+
+
+def _learn(oracle: MembershipOracle, cfg: LearnerConfig, small_class: SmallClassOracle | None) -> RunReport:
     rng = substream(oracle.seed, "learner")
     d = oracle.dim
     start = oracle.ledger
@@ -290,16 +283,15 @@ def learn(
         )
 
     try:
-        # orientation check: the pipeline assumes the negative side is the
-        # minority class; flip labels if not
+        # orientation probe: flip the labels when the negative side is the majority
         probe = oracle.query_batch(oracle.gaussian_points(200))
         flipped = bool(np.mean(probe == -1) > 0.5)
-        view = _FlippedOracle(oracle) if flipped else oracle
+        oracle.label_sign = -1 if flipped else 1
         sc = None if flipped else small_class
         if sc is not None:
             bias = _bias_from_small_class(sc, BIAS_FROM_SMALL_CLASS_DRAWS)
         else:
-            bias = estimate_bias_doubling(view, cfg.epsilon, cfg.delta)
+            bias = estimate_bias_doubling(oracle, cfg.epsilon, cfg.delta)
     except BudgetExceeded:
         bias = None
     n["queries_bias"] = oracle.ledger - start
@@ -315,8 +307,8 @@ def learn(
 
     def warm_start(t):
         if use_extreme_init(t, cfg.epsilon, p_hat):
-            return init_extreme(view, t, cfg.epsilon, p_hat, cfg.delta, rng, sc)
-        return init_unextreme(view, t, cfg.epsilon, cfg.delta, sc)
+            return init_extreme(oracle, t, cfg.epsilon, p_hat, cfg.delta, rng, sc)
+        return init_unextreme(oracle, t, cfg.epsilon, cfg.delta, sc)
 
     candidates: list[Halfspace] = []
     try:
@@ -337,7 +329,7 @@ def learn(
                 continue
             mark = oracle.ledger
             outcomes, state = refine(
-                view, w0, grid, cfg.epsilon, cfg.delta, cfg.refine, sigma0=entry_scale(t_init)
+                oracle, w0, grid, cfg.epsilon, cfg.delta, cfg.refine, sigma0=entry_scale(t_init)
             )
             n["queries_refine"] += oracle.ledger - mark
             n["rounds"] += state.round
@@ -356,43 +348,6 @@ def learn(
 
     mark = oracle.ledger
     # a spent oracle refuses every vote: the first candidate wins unsampled
-    # (the real oracle is asked, as the flipped view has no ``spent``)
-    winner = candidates[0] if oracle.spent else tournament(candidates, view, cfg.epsilon, cfg.delta)
+    winner = candidates[0] if oracle.spent else tournament(candidates, oracle, cfg.epsilon, cfg.delta)
     n["queries_tournament"] = oracle.ledger - mark
     return finish(winner, "learned", list(candidates))
-
-
-def learn_with_noise_ladder(
-    oracle: MembershipOracle,
-    cfg: LearnerConfig,
-    small_class: SmallClassOracle | None = None,
-) -> RunReport:
-    """Run the learner at accuracies eps, 2 eps, 4 eps, ... and keep the
-    tournament winner of the pooled outputs.
-
-    Some ladder level lands within a factor 2 of the actual noise level,
-    which converts the additive-accuracy guarantee into one relative to
-    the best achievable error.  All levels share the oracle's budget.
-    """
-    start = oracle.ledger
-    levels = math.ceil(math.log2(1.0 / cfg.epsilon)) + 1
-    reports = [
-        learn(oracle, replace(cfg, epsilon=min(0.5, cfg.epsilon * 2 ** i)), small_class)
-        for i in range(levels)
-    ]
-    pool = [r.hypothesis for r in reports]
-    n = {k: sum(getattr(r, k) for r in reports) for k in _COUNTERS}
-    mark = oracle.ledger
-    winner = pool[0] if oracle.spent else tournament(pool, oracle, cfg.epsilon, cfg.delta)
-    n["queries_tournament"] += oracle.ledger - mark
-    err, se = _error_and_se(oracle, winner, EVAL_SAMPLES, "ladder-eval")
-    return RunReport(
-        hypothesis=winner,
-        verdict="budget" if oracle.spent else "learned",
-        err_estimate=err,
-        err_se=se,
-        total_queries=oracle.ledger - start,
-        candidates=pool,
-        flipped=reports[0].flipped,
-        **n,
-    )

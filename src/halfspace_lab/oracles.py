@@ -119,8 +119,8 @@ class BoundaryBand(LabelSource):
     band: float
 
     def __post_init__(self):
-        if self.band <= 0:
-            raise ValueError("band half-width must be positive")
+        if not (math.isfinite(self.band) and self.band > 0):
+            raise ValueError("band half-width must be finite and positive")
 
     @property
     def opt(self) -> float:
@@ -162,7 +162,9 @@ class BudgetExceeded(RuntimeError):
 class MembershipOracle:
     """Label access with an exact ledger: one increment per labeled point.
 
-    With a ``budget``, a query that would take the ledger past it is
+    Every answer is multiplied by ``label_sign`` (+1 unless a caller sets
+    it), so a learner can flip which class it sees as the minority.  With
+    a ``budget``, a query that would take the ledger past it is
     refused whole: nothing is charged, BudgetExceeded is raised and the
     oracle is ``spent``, after which every query is refused.
     """
@@ -172,6 +174,7 @@ class MembershipOracle:
     budget: int | None = None
     ledger: int = 0
     spent: bool = field(default=False, init=False)
+    label_sign: int = field(default=1, init=False)
     _rng: np.random.Generator = field(init=False, repr=False)
     _gauss: np.random.Generator = field(init=False, repr=False)
 
@@ -194,7 +197,7 @@ class MembershipOracle:
         if not np.all(np.isfinite(x)):
             raise ValueError("query point must be finite")
         self._charge(1)
-        return int(self.source.sample_labels(x[None, :], self._rng)[0])
+        return self.label_sign * int(self.source.sample_labels(x[None, :], self._rng)[0])
 
     def query_batch(self, X: np.ndarray) -> np.ndarray:
         """Labels for n points at a cost of n ledger increments."""
@@ -202,7 +205,7 @@ class MembershipOracle:
         if not np.isfinite(X).all():
             raise ValueError("query points must be finite")
         self._charge(X.shape[0])
-        return self.source.sample_labels(X, self._rng)
+        return self.label_sign * self.source.sample_labels(X, self._rng)
 
     def gaussian_points(self, n: int, dim: int | None = None) -> np.ndarray:
         """Fresh standard Gaussian points (no ledger cost until queried),

@@ -71,8 +71,19 @@ class RefineConfig:
     grad_samples_multiplier: float = 40.0
 
     def __post_init__(self):
+        for name in ("c1", "c2", "c_stop", "grad_samples_multiplier"):
+            value = getattr(self, name)
+            if not is_finite_positive(value):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
         if not (self.c1 > 8 and self.c2 > 8):
             raise ValueError("c1 and c2 must exceed 8")
+
+
+def is_finite_positive(value) -> bool:
+    """Whether value is a real number (not a bool), finite and > 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return math.isfinite(value) and value > 0
 
 
 @dataclass(frozen=True)

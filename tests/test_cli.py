@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from halfspace_lab import cli, learner
+from halfspace_lab import cli, learner, selftest
 from halfspace_lab.cli import (
     LOWERBOUND_HEADER,
     Scenario,
@@ -76,8 +76,9 @@ class TestParsing:
 
     def test_unknown_noise_rejected(self):
         target = Halfspace(np.array([1.0, 0.0]), 0.5)
-        with pytest.raises(UsageError):
-            make_label_source("salt:1", target)
+        for spec in ("salt:1", "band:inf", "band:nan", "band:-inf", "rcn:nan"):
+            with pytest.raises(UsageError):
+                make_label_source(spec, target)
 
 
 class TestSweepExpansion:
@@ -178,6 +179,14 @@ class TestMainModes:
     def test_selftest_mode(self, capsys):
         assert main(["--mode", "selftest"]) == 0
 
+    def test_selftest_failure_exits_3(self, capsys, monkeypatch):
+        def broken():
+            raise AssertionError("broken on purpose")
+
+        monkeypatch.setattr(selftest, "CHECKS", [("broken", broken)])
+        assert main(["--mode", "selftest"]) == 3
+        assert "FAIL broken: AssertionError('broken on purpose')" in capsys.readouterr().err
+
     def test_usage_errors_exit_1(self, tmp_path, capsys, monkeypatch):
         # a sweep checks every cell before it runs any learn
         learns = []
@@ -219,7 +228,20 @@ class TestMainModes:
             ["--mode", "learn", "--set", "init.c2=16"],
             ["--mode", "learn", "--set", "refine.bias_window=(0.2,0.8)"],
             ["--mode", "learn", "--set", "eval_samples=1000"],
+            ["--mode", "learn", "--noise", "band:inf"],
+            ["--mode", "learn", "--noise", "band:nan"],
         ]
+        # values the learner config rejects, and lowerbound sizes no pool can meet
+        learn_argv = ["--mode", "learn", "--dim", "3", "--tstar", "0.5", "--epsilon", "0.05", "--seed", "0"]
+        for kv in [
+            "grid_step=0", "grid_step=nan", "grid_step=-0.1", "grid_step=1e999",
+            "refine.c_stop=0", "refine.c_stop=-1", "refine.grad_samples_multiplier=0",
+            "refine.c1=1e999", "restarts_per_gridpoint=1.5", "restarts_per_gridpoint=0",
+            "restarts_per_gridpoint=-1", "restarts_per_gridpoint=True",
+        ]:
+            argvs.append(learn_argv + ["--set", kv])
+        for kvs in [["m=0"], ["m=-5"], ["k=0"], ["tuples=0"], ["game_budget=0"], ["m=5", "k=10"]]:
+            argvs.append(["--mode", "lowerbound"] + [arg for kv in kvs for arg in ("--set", kv)])
         for argv in argvs:
             assert main(argv) == 1, argv
         assert learns == []
@@ -269,23 +291,24 @@ class TestMainModes:
 
     def test_spent_oracle_skips_the_tournament(self, tmp_path, monkeypatch):
         # the budget runs out in refine: no vote can be taken, so the first
-        # candidate wins without sampling a single disagreement point
+        # candidate wins without sampling a single disagreement point.  At
+        # t* = -1 the learner flips the labels on the oracle it also asks
+        # whether it is spent
         calls = []
         sample = learner.sample_disagreement
         monkeypatch.setattr(
             learner, "sample_disagreement", lambda *args: calls.append(args) or sample(*args)
         )
         out = tmp_path / "budget.csv"
-        code = main([
-            "--mode", "learn", "--dim", "10", "--tstar", "1.0", "--epsilon", "0.02",
-            "--seed", "0", "--budget", "1100000", "--set", "restarts_per_gridpoint=2",
-            "--out", str(out),
-        ])
-        assert code == 2
-        assert calls == []
-        header, rows = read_csv(out)
-        row = dict(zip(header, rows[0]))
-        assert (row["verdict"], row["err_estimate"], row["total_queries"]) == (
-            "budget", "0.00351", "1099608",
-        )
-        assert row["queries_tournament"] == "0"
+        for tstar, err, total in [("1.0", "0.00351", "1099608"), ("-1.0", "0.00348", "1099858")]:
+            code = main([
+                "--mode", "learn", "--dim", "10", "--tstar", tstar, "--epsilon", "0.02",
+                "--seed", "0", "--budget", "1100000", "--set", "restarts_per_gridpoint=2",
+                "--out", str(out),
+            ])
+            assert code == 2
+            assert calls == []
+            header, rows = read_csv(out)
+            row = dict(zip(header, rows[0]))
+            assert (row["verdict"], row["err_estimate"], row["total_queries"]) == ("budget", err, total)
+            assert row["queries_tournament"] == "0"

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from halfspace_lab.learner import (
     LearnerConfig,
     constant_plus_one_hypothesis,
     learn,
-    learn_with_noise_ladder,
     sample_disagreement,
     tournament,
 )
@@ -289,6 +287,20 @@ class TestLearn:
         report = learn(oracle, FAST)
         assert report.flipped
         assert report.err_estimate <= 0.1
+        # the oracle answers the true labels again once learn returns
+        assert oracle.label_sign == 1
+        X = oracle.gaussian_points(500)
+        assert np.array_equal(oracle.query_batch(X), oracle.source.target(X))
+
+    def test_label_sign_restored_when_learn_raises(self, monkeypatch):
+        def broken_refine(*args, **kwargs):
+            raise RuntimeError("refine failed")
+
+        monkeypatch.setattr(learner, "refine", broken_refine)
+        oracle = make_oracle(t=-1.0, d=5, seed=2)
+        with pytest.raises(RuntimeError):
+            learn(oracle, FAST)
+        assert oracle.label_sign == 1
 
     def test_budget_verdict(self):
         oracle = make_oracle(t=1.0, d=5, seed=1, budget=5000)
@@ -348,31 +360,3 @@ class TestLearn:
         oracle = make_oracle(t=1.0, d=6, seed=7)
         report = learn(oracle, FAST)
         assert abs(report.hypothesis.t - 1.0) <= 3.0 * FAST.step()
-
-
-class TestNoiseLadder:
-    def test_ladder_length_and_quality(self):
-        cfg = LearnerConfig(epsilon=0.05, restarts_per_gridpoint=1)
-        oracle = make_oracle(t=0.5, d=4, seed=6)
-        report = learn_with_noise_ladder(oracle, cfg)
-        levels = math.ceil(math.log2(1.0 / cfg.epsilon)) + 1
-        assert len(report.candidates) == levels
-        assert report.err_estimate <= 0.15
-        assert stage_sum(report) == report.total_queries == oracle.ledger
-        # the ladder's levels, replayed in order on a twin oracle
-        twin = make_oracle(t=0.5, d=4, seed=6)
-        level_reports = [
-            learn(twin, replace(cfg, epsilon=min(0.5, cfg.epsilon * 2 ** i)))
-            for i in range(levels)
-        ]
-        assert [r.hypothesis.t for r in level_reports] == [h.t for h in report.candidates]
-        for name in ("attempts", "rounds", "small_class_draws"):
-            assert getattr(report, name) == sum(getattr(r, name) for r in level_reports), name
-
-    def test_levels_share_one_budget(self):
-        oracle = make_oracle(t=1.0, d=10, seed=0, budget=20_000)
-        report = learn_with_noise_ladder(oracle, LearnerConfig(epsilon=0.05, restarts_per_gridpoint=1))
-        assert oracle.spent
-        assert report.verdict == "budget"
-        assert oracle.ledger <= 20_000
-        assert stage_sum(report) == report.total_queries == oracle.ledger
