@@ -44,6 +44,7 @@ from .oracles import (
     RandomFlip,
     SmallClassOracle,
 )
+from .refinement import is_finite_positive
 from .rng import substream
 from .selftest import run_selftest
 
@@ -285,17 +286,18 @@ def run_lowerbound_scenario(scenario: Scenario) -> list[list[str]]:
         known = ", ".join(_LOWERBOUND_DEFAULTS)
         raise UsageError(f"unknown lowerbound overrides {sorted(unknown)} (use {known})")
     ov = {**_LOWERBOUND_DEFAULTS, **scenario.overrides}
-    try:
-        m, k, tuples, trials, game_k = (
-            int(ov[key]) for key in ("m", "k", "tuples", "trials", "game_negatives")
-        )
-        game_budget = m if ov["game_budget"] is None else int(ov["game_budget"])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"lowerbound override: {exc}") from None
-    counts = {"m": m, "k": k, "tuples": tuples, "trials": trials, "game_budget": game_budget}
-    low = [key for key, value in counts.items() if value < 1]
-    if low:
-        raise UsageError(f"lowerbound values must be at least 1: {', '.join(low)}")
+    counts = ("m", "k", "tuples", "trials", "game_negatives", "game_budget")
+    # game_budget alone may stay None, which means m
+    bad = [
+        key for key in counts
+        if not (isinstance(ov[key], int) and is_finite_positive(ov[key]))
+        and not (key == "game_budget" and ov[key] is None)
+    ]
+    if bad:
+        raise UsageError(f"lowerbound values must be integers >= 1: {', '.join(bad)}")
+    m, k, tuples, trials, game_k, game_budget = (ov[key] for key in counts)
+    if game_budget is None:
+        game_budget = m
     if k > m:
         raise UsageError(f"lowerbound override k={k} exceeds the pool size m={m}")
     strategy_name = str(ov["strategy"])

@@ -1,9 +1,10 @@
 """Closed-form Gaussian/halfspace primitives.
 
 Everything here is a pure function of its arguments: halfspace bias and
-its inverse, Chow vectors, angle decompositions, and the two exact
-halfspace transforms (localization and smoothing) the learner is built
-on.  Boundary ties resolve to +1 everywhere.
+its inverse, the disagreement mass of two halfspaces, Chow vectors,
+angle decompositions, and the two exact halfspace transforms
+(localization and smoothing) the learner is built on.  Boundary ties
+resolve to +1 everywhere.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, ndtri
+from scipy.special import erfc, ndtr, ndtri, owens_t
 
 __all__ = [
     "Halfspace",
     "AngleDecomposition",
     "halfspace_bias",
     "threshold_for_bias",
+    "disagreement_mass",
     "komatsu_bounds",
     "chow_vector",
     "decompose",
@@ -109,6 +111,38 @@ def threshold_for_bias(p: float) -> float:
     if not (0.0 < p < 1.0):
         raise ValueError("bias must lie in (0, 1)")
     return -float(ndtri(p))
+
+
+def disagreement_mass(h1: Halfspace, h2: Halfspace) -> float:
+    """Pr_{x ~ N(0,I)}(h1(x) != h2(x)) = Phi(-t1) + Phi(-t2) - 2 Phi_2(-t1, -t2; w1.w2).
+
+    Phi_2 is the bivariate normal CDF by Owen's (1956) T function.  Its
+    terms need s = sqrt(1 - rho^2) and 1 - rho, which are taken from
+    differences of the directions so that nearly parallel pairs keep
+    their digits.
+    """
+    u1, u2 = h1.w, h2.w
+    rho = float(np.clip(u1 @ u2, -1.0, 1.0))
+    s = float(np.linalg.norm(u2 - rho * u1))
+    if h1.t == 0.0 and h2.t == 0.0:
+        return math.atan2(s, rho) / math.pi
+    a, b = -h1.t, -h2.t
+    if s == 0.0:
+        # parallel: Y = X; antipodal: Y = -X
+        both = ndtr(min(a, b)) if rho > 0 else max(0.0, ndtr(a) - ndtr(-b))
+    else:
+        gap = 0.5 * float(np.sum((u1 - u2) ** 2))
+
+        def t_term(x: float, y: float) -> float:
+            # T(x, (y - rho x) / (x s)), whose limit at x = 0 is sign(y) / 4;
+            # y - rho x = (y - x) + (1 - rho) x keeps its digits when rho ~ 1
+            if x == 0.0:
+                return math.copysign(0.25, y)
+            return owens_t(x, ((y - x) + gap * x) / (x * s))
+
+        beta = 0.0 if a * b > 0 or (a * b == 0 and a + b >= 0) else 0.5
+        both = 0.5 * (ndtr(a) + ndtr(b)) - t_term(a, b) - t_term(b, a) - beta
+    return max(0.0, float(ndtr(a) + ndtr(b) - 2.0 * both))
 
 
 def komatsu_bounds(t: float) -> tuple[float, float]:

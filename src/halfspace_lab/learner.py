@@ -6,8 +6,10 @@ constant +1 hypothesis when p is already epsilon-small), invert the
 bias bracket into a threshold interval, grid it, then per restart
 warm-start once at the top grid point and run one localized descent
 that yields a candidate for every grid point on its way down, and
-finally pick a winner from the candidate pool by pairwise disagreement
-voting.
+finally pick a winner from the candidate pool: candidates within
+epsilon / MERGE_FACTOR exact disagreement mass of an earlier one are
+merged into it, and the remaining leaders are put to a pairwise
+disagreement vote.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import numpy as np
 from scipy.special import erfcx
 
 from .estimation import BiasEstimate, estimate_bias_doubling
-from .geometry import AngleDecomposition, Halfspace, decompose, halfspace_bias, threshold_for_bias
+from .geometry import (
+    AngleDecomposition, Halfspace, decompose, disagreement_mass, halfspace_bias, threshold_for_bias,
+)
 from .initialization import InitFailure, init_extreme, init_unextreme, use_extreme_init
 from .oracles import BudgetExceeded, MembershipOracle, SmallClassOracle, estimate_error
 from .refinement import RefineConfig, entry_scale, is_finite_positive, refine
@@ -38,6 +42,9 @@ __all__ = [
 _CONSTANT_T = 40.0
 # fewest disagreement points a tournament pair needs to be voted on
 MIN_DISAGREEMENT = 10
+# a candidate within epsilon / MERGE_FACTOR exact disagreement mass of a
+# leader is merged into it before the vote
+MERGE_FACTOR = 16
 # held-out draws behind the reported error estimate
 EVAL_SAMPLES = 100_000
 # small-class draws that replace the query-funded bias ladder when a
@@ -183,6 +190,8 @@ def tournament(
 ) -> Halfspace:
     """Pick a candidate that loses no pairwise disagreement vote.
 
+    A pure vote over the given pool: ``learn`` passes the leaders of
+    ``merge_candidates``, so near-duplicate candidates cost no pairs.
     For each pair, up to m_pair points where the two hypotheses disagree
     are drawn by ``sample_disagreement`` (rejection in their 2-D span,
     capped at attempt_cap proposals) and label-queried; a pair with
@@ -223,6 +232,28 @@ def tournament(
     return candidates[int(np.argmin(losses))]
 
 
+def merge_candidates(candidates: list[Halfspace], epsilon: float) -> list[Halfspace]:
+    """The leaders of one greedy pass in candidate order.
+
+    A candidate whose exact disagreement mass to an existing leader is at
+    most epsilon / MERGE_FACTOR joins it; otherwise it becomes a leader.
+    Any merged candidate is that close to a leader, so voting on the
+    leaders alone loses at most epsilon / MERGE_FACTOR against a full vote.
+    """
+    radius = epsilon / MERGE_FACTOR
+    leaders: list[Halfspace] = []
+    for c in candidates:
+        if all(disagreement_mass(c, h) > radius for h in leaders):
+            leaders.append(c)
+    return leaders
+
+
+def medoid(candidates: list[Halfspace]) -> Halfspace:
+    """The candidate with the smallest summed disagreement mass to the others (first on ties)."""
+    totals = [sum(disagreement_mass(c, h) for h in candidates) for c in candidates]
+    return candidates[int(np.argmin(totals))]
+
+
 # RunReport's counters, which ``learn`` fills
 _COUNTERS = (
     "queries_bias", "queries_init", "queries_refine", "queries_tournament",
@@ -248,7 +279,10 @@ def learn(
     -1 and un-flips its hypotheses; learn sets the sign back to +1 before
     it returns or raises.  The verdict is ``budget`` whenever the oracle
     is spent: the stage that met a refused query stops, and the run ends
-    with what it has.
+    with what it has.  The winner comes from a tournament over the merged
+    candidates, or, when the oracle is spent before the vote, is their
+    medoid by exact disagreement mass, picked without queries.
+    ``RunReport.candidates`` lists every candidate, merged or not.
     """
     try:
         return _learn(oracle, cfg, small_class)
@@ -347,7 +381,10 @@ def _learn(oracle: MembershipOracle, cfg: LearnerConfig, small_class: SmallClass
         return finish(h, "constant_plus_one", [h])
 
     mark = oracle.ledger
-    # a spent oracle refuses every vote: the first candidate wins unsampled
-    winner = candidates[0] if oracle.spent else tournament(candidates, oracle, cfg.epsilon, cfg.delta)
+    if oracle.spent:
+        # a spent oracle refuses every vote: pick without queries
+        winner = medoid(candidates)
+    else:
+        winner = tournament(merge_candidates(candidates, cfg.epsilon), oracle, cfg.epsilon, cfg.delta)
     n["queries_tournament"] = oracle.ledger - mark
     return finish(winner, "learned", list(candidates))

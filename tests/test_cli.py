@@ -240,7 +240,12 @@ class TestMainModes:
             "restarts_per_gridpoint=-1", "restarts_per_gridpoint=True",
         ]:
             argvs.append(learn_argv + ["--set", kv])
-        for kvs in [["m=0"], ["m=-5"], ["k=0"], ["tuples=0"], ["game_budget=0"], ["m=5", "k=10"]]:
+        for kvs in [
+            ["m=0"], ["m=-5"], ["k=0"], ["tuples=0"], ["game_budget=0"], ["m=5", "k=10"],
+            # counts are integers >= 1, not truncated
+            ["m=1.5"], ["trials=2.7"], ["k=True"], ["tuples=-1"], ["game_negatives=0"],
+            ["game_negatives=-1"], ["game_negatives=1.5"], ["game_budget=2.7"], ["game_budget=True"],
+        ]:
             argvs.append(["--mode", "lowerbound"] + [arg for kv in kvs for arg in ("--set", kv)])
         for argv in argvs:
             assert main(argv) == 1, argv
@@ -275,7 +280,8 @@ class TestMainModes:
         assert int(row["rounds"]) > 0
 
     def test_budget_spent_in_tournament_exits_2(self, tmp_path):
-        # two restarts reach the tournament just under this budget
+        # two restarts reach the tournament at ledger 1,165,370; the vote over
+        # their three merged leaders (260 queries a pair) would end at 1,166,150
         out = tmp_path / "budget.csv"
         code = main([
             "--mode", "learn", "--dim", "10", "--tstar", "1.0", "--epsilon", "0.02",
@@ -290,17 +296,17 @@ class TestMainModes:
         assert int(row["total_queries"]) <= 1_166_000
 
     def test_spent_oracle_skips_the_tournament(self, tmp_path, monkeypatch):
-        # the budget runs out in refine: no vote can be taken, so the first
-        # candidate wins without sampling a single disagreement point.  At
-        # t* = -1 the learner flips the labels on the oracle it also asks
-        # whether it is spent
+        # the budget runs out in refine: no vote can be taken, so the medoid
+        # of the candidates by exact disagreement mass wins without sampling
+        # a single disagreement point.  At t* = -1 the learner flips the
+        # labels on the oracle it also asks whether it is spent
         calls = []
         sample = learner.sample_disagreement
         monkeypatch.setattr(
             learner, "sample_disagreement", lambda *args: calls.append(args) or sample(*args)
         )
         out = tmp_path / "budget.csv"
-        for tstar, err, total in [("1.0", "0.00351", "1099608"), ("-1.0", "0.00348", "1099858")]:
+        for tstar, err, total in [("1.0", "0.00035", "1099608"), ("-1.0", "0.00259", "1099858")]:
             code = main([
                 "--mode", "learn", "--dim", "10", "--tstar", tstar, "--epsilon", "0.02",
                 "--seed", "0", "--budget", "1100000", "--set", "restarts_per_gridpoint=2",

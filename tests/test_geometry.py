@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from halfspace_lab.geometry import (
     Halfspace,
     chow_vector,
     decompose,
+    disagreement_mass,
     halfspace_bias,
     komatsu_bounds,
     localize_halfspace,
@@ -20,7 +22,7 @@ from halfspace_lab.geometry import (
 )
 from halfspace_lab.rng import substream
 
-from conftest import random_halfspace, unit_vector
+from conftest import random_halfspace, rotated_from, unit_vector
 
 # independently computed 30-digit reference values for Phi(-t)
 PHI_NEG = {
@@ -61,6 +63,67 @@ class TestBias:
         ts = np.linspace(-5, 5, 41)
         ps = [halfspace_bias(float(t)) for t in ts]
         assert all(a > b for a, b in zip(ps, ps[1:]))
+
+
+def mp_disagreement(t1: float, t2: float, theta: float) -> float:
+    """Phi(-t1) + Phi(-t2) - 2 Phi_2(-t1, -t2; cos theta) at 30 digits.
+
+    Phi_2(h, k; rho) is the integral over x < h of phi(x) Phi((k - rho x) / s),
+    s = sin theta; the integrand steps near x = k / rho over a width of
+    about s, so the quadrature is split there.
+    """
+    with mpmath.workdps(30):
+        h, k, theta = -mpmath.mpf(t1), -mpmath.mpf(t2), mpmath.mpf(theta)
+        if theta == 0:
+            both = mpmath.ncdf(min(h, k))
+        elif theta == mpmath.pi:
+            both = max(0, mpmath.ncdf(h) - mpmath.ncdf(-k))
+        else:
+            rho, s = mpmath.cos(theta), mpmath.sin(theta)
+            step = k / rho
+            cuts = sorted(x for x in (step - 50 * s, step, step + 50 * s) if x < h)
+            both = mpmath.quad(
+                lambda x: mpmath.npdf(x) * mpmath.ncdf((k - rho * x) / s), [-mpmath.inf, *cuts, h]
+            )
+        return float(mpmath.ncdf(h) + mpmath.ncdf(k) - 2 * both)
+
+
+def pair_at_angle(t1: float, t2: float, theta: float) -> tuple[Halfspace, Halfspace]:
+    w1 = np.array([1.0, 0.0, 0.0])
+    if theta == math.pi:
+        w2 = -w1
+    else:
+        w2 = np.array([math.cos(theta), math.sin(theta), 0.0])
+    return Halfspace(w1, t1), Halfspace(w2, t2)
+
+
+class TestDisagreementMass:
+    @pytest.mark.parametrize("t1,t2,theta", [
+        # nearly parallel: distinct, equal and opposite thresholds
+        (1.0, 1.05, 1e-6), (0.5, -0.3, 1e-6), (1.0, 1.0, 1e-6), (2.5, 2.5, 1e-4),
+        (1.0, 0.7, 0.3), (-0.5, 1.2, 2.0), (1.5, -1.5, 3.0),
+        # parallel and antipodal
+        (0.2, 0.6, 0.0), (0.5, 0.3, math.pi), (0.5, -0.8, math.pi), (1.0, -1.0, math.pi),
+        # t = 0 for one or both
+        (0.0, 0.0, 1e-6), (0.0, 0.0, 0.7), (0.0, 1.0, 0.5), (-0.4, 0.0, 2.5), (0.0, 0.0, math.pi),
+    ])
+    def test_matches_reference(self, t1, t2, theta):
+        h1, h2 = pair_at_angle(t1, t2, theta)
+        assert disagreement_mass(h1, h2) == pytest.approx(mp_disagreement(t1, t2, theta), rel=1e-9, abs=0.0)
+
+    @given(st.integers(2, 6), st.integers(0, 10_000), st.sampled_from([1e-7, 1e-3, 0.5, 2.0]))
+    @settings(max_examples=50, deadline=None)
+    def test_symmetric(self, d, seed, angle):
+        rng = substream(seed, "disagreement-symmetry")
+        w = unit_vector(rng, d)
+        h1 = Halfspace(w, float(rng.uniform(-2.0, 2.0)))
+        h2 = Halfspace(rotated_from(w, angle, rng), float(rng.uniform(-2.0, 2.0)))
+        assert disagreement_mass(h1, h2) == pytest.approx(disagreement_mass(h2, h1), rel=1e-9, abs=0.0)
+
+    def test_identical_pair_has_no_mass(self, rng):
+        h = random_halfspace(rng, 5)
+        assert disagreement_mass(h, h) == 0.0
+        assert disagreement_mass(h, h.flipped()) == 1.0
 
 
 class TestKomatsu:

@@ -4,15 +4,17 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import erfcx, ndtr, owens_t
+from scipy.special import erfcx, ndtr
 
 import halfspace_lab.learner as learner
-from halfspace_lab.geometry import Halfspace
+from halfspace_lab.geometry import Halfspace, disagreement_mass
 from halfspace_lab.initialization import InitFailure
 from halfspace_lab.learner import (
     LearnerConfig,
     constant_plus_one_hypothesis,
     learn,
+    medoid,
+    merge_candidates,
     sample_disagreement,
     tournament,
 )
@@ -129,25 +131,59 @@ class TestTournament:
         assert view.true_error(winner) <= 0.1 + 0.02
 
 
-def disagreement_mass(t1, t2, theta):
-    """Phi(-t1) + Phi(-t2) - 2 Phi_2(-t1, -t2; cos theta), with Owen's T."""
-    h, k = -t1, -t2
-    if theta == 0.0:
-        both = ndtr(min(h, k))
-    elif theta == math.pi:
-        both = max(0.0, ndtr(h) - ndtr(-k))
-    else:
-        rho, s = math.cos(theta), math.sin(theta)
-        # b - rho a = (b - a) + (1 - rho) a, with 1 - rho = 2 sin^2(theta/2)
-        gap = 2.0 * math.sin(theta / 2.0) ** 2
-        beta = 0.0 if (h * k > 0 or (h * k == 0 and h + k >= 0)) else 0.5
-        both = (
-            0.5 * (ndtr(h) + ndtr(k))
-            - owens_t(h, ((k - h) + gap * h) / (h * s))
-            - owens_t(k, ((h - k) + gap * k) / (k * s))
-            - beta
+class TestMerge:
+    EPS = 0.02
+    RADIUS = EPS / learner.MERGE_FACTOR
+
+    def pool(self):
+        # at t = 0 the disagreement mass is angle / pi; c and d tilt to
+        # opposite sides of a, 0.9 and 1.1 merge radii away
+        w, r = np.eye(4)[0], np.eye(4)[1]
+
+        def tilt(mass):
+            angle = math.pi * mass
+            return Halfspace(math.cos(angle) * w + math.sin(angle) * r, 0.0)
+
+        a = Halfspace(w, 0.0)
+        return {
+            "a": a, "a_dup": Halfspace(w.copy(), 0.0), "c": tilt(0.9 * self.RADIUS),
+            "d": tilt(-1.1 * self.RADIUS), "far": tilt(0.3),
+        }
+
+    @pytest.mark.parametrize("order,leaders", [
+        ("a a_dup c d far", "a d far"),
+        ("far c a d a_dup", "far c d"),
+    ])
+    def test_leaders_keep_candidate_order(self, order, leaders):
+        pool = self.pool()
+        merged = merge_candidates([pool[name] for name in order.split()], self.EPS)
+        assert [id(h) for h in merged] == [id(pool[name]) for name in leaders.split()]
+
+    def test_medoid_is_the_central_candidate(self):
+        pool = self.pool()
+        # a and its duplicate tie at the median; the first of them wins
+        assert medoid([pool[name] for name in "far c a d a_dup".split()]) is pool["a"]
+
+    def test_vote_sees_only_leaders(self, monkeypatch):
+        sampled, voted = [], []
+        sample, vote = learner.sample_disagreement, learner.tournament
+        monkeypatch.setattr(
+            learner, "sample_disagreement", lambda h1, h2, *a: sampled.append((h1, h2)) or sample(h1, h2, *a)
         )
-    return float(ndtr(h) + ndtr(k) - 2.0 * both)
+        monkeypatch.setattr(learner, "tournament", lambda cands, *a: voted.append(cands) or vote(cands, *a))
+        report = learn(make_oracle(t=1.0, d=10, seed=0), LearnerConfig(self.EPS, restarts_per_gridpoint=2))
+        cands = report.candidates
+        [leaders] = voted
+        assert 1 < len(leaders) < len(cands)
+        # every candidate sits within the radius of a leader, and the
+        # leaders are a subsequence of the candidates
+        assert all(any(disagreement_mass(c, h) <= self.RADIUS for h in leaders) for c in cands)
+        positions = [next(i for i, c in enumerate(cands) if c is h) for h in leaders]
+        assert positions == sorted(positions)
+        # every pair of leaders, all further apart than the radius, is voted on
+        pairs = [(h1, h2) for i, h1 in enumerate(leaders) for h2 in leaders[i + 1:]]
+        assert all(disagreement_mass(h1, h2) > self.RADIUS for h1, h2 in pairs)
+        assert [(id(h1), id(h2)) for h1, h2 in sampled] == [(id(h1), id(h2)) for h1, h2 in pairs]
 
 
 class CountingOracle(MembershipOracle):
@@ -168,22 +204,21 @@ class TestSampleDisagreement:
         rng = substream(seed, "disagreement-pair")
         w = unit_vector(rng, self.D)
         if kind == "near":
-            theta, t1, t2 = math.radians(0.05), 1.0, 1.05
-            return Halfspace(w, t1), Halfspace(rotated_from(w, theta, rng), t2), theta
+            return Halfspace(w, 1.0), Halfspace(rotated_from(w, math.radians(0.05), rng), 1.05)
         if kind == "parallel":
-            return Halfspace(w, 0.2), Halfspace(w, 0.6), 0.0
-        return Halfspace(w, 0.5), Halfspace(-w, 0.3), math.pi
+            return Halfspace(w, 0.2), Halfspace(w, 0.6)
+        return Halfspace(w, 0.5), Halfspace(-w, 0.3)
 
     @pytest.mark.parametrize("kind,cap", [("near", 200_000), ("parallel", 40_000), ("antipodal", 20_000)])
     def test_exact_conditional_law(self, kind, cap):
-        h1, h2, theta = self.pair(kind, seed=4)
+        h1, h2 = self.pair(kind, seed=4)
         oracle = MembershipOracle(CleanLabels(h1), seed=4)
         # m = cap: the search never stops early, so the hits count all cap proposals
         X = sample_disagreement(h1, h2, oracle, cap, cap)
         assert X.shape[1] == self.D
         assert np.all(np.asarray(h1(X)) != np.asarray(h2(X)))
 
-        q = disagreement_mass(h1.t, h2.t, theta)
+        q = disagreement_mass(h1, h2)
         se = math.sqrt(q * (1.0 - q) / cap)
         assert abs(X.shape[0] / cap - q) <= 4.0 * se
 
@@ -197,7 +232,7 @@ class TestSampleDisagreement:
         assert np.all(np.abs(C.var(axis=0) - 1.0) <= 4.0 * math.sqrt(2.0 / n))
 
     def test_stops_at_m_hits(self):
-        h1, h2, _ = self.pair("antipodal", seed=1)
+        h1, h2 = self.pair("antipodal", seed=1)
         oracle = MembershipOracle(CleanLabels(h1), seed=1)
         assert sample_disagreement(h1, h2, oracle, 50, 10_000).shape == (50, self.D)
 
@@ -310,13 +345,14 @@ class TestLearn:
 
     # the unbudgeted learn at d=10, t=1, seed 0 spends 67,428 queries on
     # the probe and bias ladder, then 2,604 per warm start; with two
-    # restarts it reaches the tournament at ledger 1,168,120
+    # restarts it reaches the tournament at ledger 1,168,120, and the vote
+    # over its three merged leaders (260 queries a pair) ends at 1,168,900
     @pytest.mark.parametrize("budget,restarts,stage", [
         (150, 1, "probe"),
         (20_000, 1, "bias"),
         (68_500, 1, "init"),
         (100_000, 1, "refine"),
-        (1_170_000, 2, "tournament"),
+        (1_168_500, 2, "tournament"),
     ])
     def test_budget_is_a_hard_ceiling(self, budget, restarts, stage):
         oracle = make_oracle(t=1.0, d=10, seed=0, budget=budget)
