@@ -26,7 +26,7 @@ from .geometry import (
 )
 from .initialization import InitFailure, init_extreme, init_unextreme, use_extreme_init
 from .oracles import BudgetExceeded, MembershipOracle, SmallClassOracle, estimate_error
-from .refinement import RefineConfig, entry_scale, is_finite_positive, refine
+from .refinement import EntryRejected, RefineConfig, entry_scale, is_finite_positive, refine
 from .rng import substream
 
 __all__ = [
@@ -348,24 +348,31 @@ def _learn(oracle: MembershipOracle, cfg: LearnerConfig, small_class: SmallClass
     try:
         for _ in range(cfg.restarts()):
             # warm-start at the top grid point, falling back down the grid
-            w0 = None
+            # when the start fails or the descent rejects it at entry
+            outcomes = None
             for t_init in reversed(grid):
                 mark = oracle.ledger
                 try:
                     w0 = warm_start(t_init)
-                    break
                 except InitFailure:
                     n["attempts"] += 1
                     n["init_failures"] += 1
+                    continue
                 finally:
                     n["queries_init"] += oracle.ledger - mark
-            if w0 is None:
+                mark = oracle.ledger
+                try:
+                    outcomes, state = refine(
+                        oracle, w0, grid, cfg.epsilon, cfg.delta, cfg.refine, sigma0=entry_scale(t_init)
+                    )
+                    break
+                except EntryRejected:
+                    n["attempts"] += 1
+                    n["init_failures"] += 1
+                finally:
+                    n["queries_refine"] += oracle.ledger - mark
+            if outcomes is None:
                 continue
-            mark = oracle.ledger
-            outcomes, state = refine(
-                oracle, w0, grid, cfg.epsilon, cfg.delta, cfg.refine, sigma0=entry_scale(t_init)
-            )
-            n["queries_refine"] += oracle.ledger - mark
             n["rounds"] += state.round
             n["attempts"] += len(outcomes)
             for o in outcomes:

@@ -4,11 +4,13 @@ Each round localizes the query distribution around the current
 direction w at scale sigma, binary-searches the localization offset
 until the localized negative-label rate sits near 1/2 (where the
 gradient signal is strongest), estimates the projected Chow vector of
-the localized concept, and takes a projected gradient step.  sigma is a
-certified upper bound on sin(theta/2) to the target direction and
-contracts by a fixed factor per round.  One descent serves every
-threshold of the learner's grid: each grid point's offset is searched
-once sigma reaches that point's stop scale.
+the localized concept, and takes a projected gradient step.  sigma is an
+upper bound on sin(theta/2) to the target direction.  Each round
+certifies how far it may fall from the ratio of the Chow estimate's
+components across and along w, which it already pays for; a round whose
+certificate is too weak contracts by the fixed factor 1 - 1/c2.  One
+descent serves every threshold of the learner's grid: each grid point's
+offset is searched once sigma reaches that point's stop scale.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import ndtri
 
 from .estimation import (
     WindowVerdict,
@@ -31,6 +34,7 @@ __all__ = [
     "RefineState",
     "GridOutcome",
     "OffsetNotFound",
+    "EntryRejected",
     "search_offset",
     "refine_round",
     "refine",
@@ -48,6 +52,13 @@ class OffsetNotFound(RuntimeError):
     """
 
 
+class EntryRejected(RuntimeError):
+    """The warm start failed the descent's entry test: no in-window
+    offset at sigma0, or a first-round lower confidence bound on
+    sin(theta/2) above sigma0.  The caller falls back to another warm
+    start."""
+
+
 # bisection steers the localized negative rate into this band, where
 # the gradient signal is strongest
 BIAS_WINDOW = (0.25, 0.75)
@@ -57,13 +68,24 @@ VALIDITY_WINDOW = (0.02, 0.98)
 MAX_BISECTION_STEPS = 60
 # bisection stops refining the bracket below this fraction of sigma
 RESOLUTION_FACTOR = 0.25
+# a round's certificate tolerates labels flipped on any region of mass up
+# to epsilon / NOISE_FACTOR, on top of noise that depends on x only
+# through the target's margin
+NOISE_FACTOR = 16.0
+# the next sigma is at most CERTIFICATE_SLACK times the certified bound
+CERTIFICATE_SLACK = 2.0
+# Bernstein scale for the mean of m copies of (v.z) y, |(v.z) y| = |v.z|:
+# its k-th central moment is at most E(|G| + c)^k <= (k!/2) B^(k-2) with
+# c = sqrt(2/pi).  k = 3 binds: E(|G| + c)^3 = 5c + 4c^3 = 3 * 2.007
+BERNSTEIN_SCALE = 2.01
 
 
 @dataclass(frozen=True)
 class RefineConfig:
-    # per-round step size mu = sigma / c1 and contraction sigma' = (1 - 1/c2) sigma;
-    # c2 sized so the worst-case per-round angle decrease (gradient norm
-    # bounded by the in-window Chow length) still beats 1/c2
+    # per-round step size mu = sigma / c1; sigma' = (1 - 1/c2) sigma is the
+    # slowest contraction, taken when a round certifies no more.  c2 sized
+    # so the worst-case per-round angle decrease (gradient norm bounded by
+    # the in-window Chow length) still beats 1/c2
     c1: float = 8.01
     c2: float = 40.0
     # stop once sigma <= c_stop * epsilon * exp(t'^2 / 2)
@@ -93,6 +115,9 @@ class RefineState:
     round: int
     accepted_offset: float
     ledger_start: int
+    # lower confidence bound on sin(theta/2) of the direction the last
+    # round started from (0 before any round)
+    angle_floor: float = 0.0
 
 
 def planned_rounds(sigma0: float, sigma_final: float, c2: float) -> int:
@@ -107,14 +132,20 @@ def search_offset(
     sigma: float,
     t_prime: float,
     delta: float,
+    *,
+    strict: bool = False,
+    start: float = math.nan,
 ) -> float:
     """Find an offset whose localized negative-label rate is in-window.
 
     The localized negative rate is monotone increasing in the offset, so
     bisection over [0, t'] converges: a probe whose empirical rate falls
     below the window center raises the lower bracket, above lowers the
-    upper one.  Accepts on an in-window verdict; fails once the bracket
-    shrinks below a quarter of sigma without one.
+    upper one.  The first probe is at ``start`` when it lies in [0, t']
+    (a descent passes its last accepted offset), else at t'/2.  Accepts
+    on an in-window verdict.  Once the bracket shrinks below a quarter
+    of sigma without one, it settles for a rate inside VALIDITY_WINDOW
+    unless ``strict``, and fails otherwise.
     """
     if not (0.0 < sigma <= 0.5):
         raise ValueError("sigma must lie in (0, 1/2]")
@@ -124,8 +155,8 @@ def search_offset(
     lo_t, hi_t = 0.0, t_prime
     resolution = RESOLUTION_FACTOR * sigma
     val_lo, val_hi = VALIDITY_WINDOW
+    mid = start if 0.0 <= start <= t_prime else 0.5 * t_prime
     for _ in range(MAX_BISECTION_STEPS):
-        mid = 0.5 * (lo_t + hi_t)
 
         def sample(n: int, offset: float = mid) -> np.ndarray:
             return localized_query_batch(
@@ -138,13 +169,14 @@ def search_offset(
         if hi_t - lo_t < resolution:
             # the target band is unreachable inside [0, t']; settle for
             # any offset whose rate is at least clearly non-degenerate
-            if val_lo < result.p_emp < val_hi:
+            if not strict and val_lo < result.p_emp < val_hi:
                 return mid
             break
         if result.side(*BIAS_WINDOW) == "low":
             lo_t = mid
         else:
             hi_t = mid
+        mid = 0.5 * (lo_t + hi_t)
     raise OffsetNotFound(
         f"no in-window offset in [0, {t_prime}] at sigma {sigma:.4g}"
     )
@@ -156,6 +188,45 @@ def gradient_sample_size(dim: int, total_rounds: int, cfg: RefineConfig, delta: 
     )
 
 
+def chow_radii(m: int, dim: int, delta: float) -> tuple[float, float]:
+    """Confidence radii (r_v, r_perp) of a localized Chow mean g of m draws.
+
+    With w the localization direction, u the unit part of the target
+    normal orthogonal to w, and W the other d - 2 directions: for labels
+    that depend on x only through the target's margin, the W part of z
+    is independent of the label, so the W part of g is exactly
+    N(0, I_{d-2} / m), and by Laurent and Massart (2000)
+    P(sqrt(m) ||g_W|| > sqrt(d - 2) + sqrt(2x)) <= exp(-x).  Each of g.w
+    and g.u is a mean of m copies of (v.z) y whose central moments obey
+    Bernstein's condition with variance 1 and scale BERNSTEIN_SCALE, so
+    P(|g.v - E g.v| > r) <= 2 exp(-m r^2 / (2 (1 + B r))).  Spending
+    delta / 3 on each of the three events, with probability >= 1 - delta
+    |g.w - E g.w| <= r_v and ||g_perp - E g_perp|| <= r_perp.
+    """
+    lg = math.log(6.0 / delta)
+    bl = BERNSTEIN_SCALE * lg
+    r_v = (bl + math.sqrt(bl * bl + 2.0 * m * lg)) / m
+    r_w = (math.sqrt(max(dim - 2, 0)) + math.sqrt(2.0 * math.log(3.0 / delta))) / math.sqrt(m)
+    return r_v, r_v + r_w
+
+
+def noise_shift(epsilon: float, sigma: float, t_tilde: float) -> float:
+    """Largest change of the localized Chow mean that flipping labels on
+    a region of Gaussian mass epsilon / NOISE_FACTOR can cause.
+
+    The localized law N(-t~ w, I - (1 - sigma^2) w w^T) has density at
+    most exp(t~^2 / (2 (1 - sigma^2))) / sigma times the standard one,
+    so such a region has localized mass at most beta = that ratio times
+    epsilon / NOISE_FACTOR.  Flipping mass beta moves E[z y] by at most
+    2 E[|z_1|; |z_1| > q] = 4 phi(q), q = Phi^{-1}(1 - beta / 2).
+    """
+    if epsilon <= 0.0:
+        return 0.0
+    log_beta = math.log(epsilon / NOISE_FACTOR / sigma) + t_tilde * t_tilde / (2.0 * (1.0 - sigma * sigma))
+    q = -float(ndtri(0.5 * math.exp(min(log_beta, 0.0))))
+    return 4.0 * math.exp(-0.5 * q * q) / math.sqrt(2.0 * math.pi)
+
+
 def refine_round(
     oracle: MembershipOracle,
     state: RefineState,
@@ -163,24 +234,69 @@ def refine_round(
     cfg: RefineConfig,
     delta: float,
     total_rounds: int,
+    *,
+    epsilon: float = 0.0,
+    floor: float = 0.0,
 ) -> RefineState:
-    """One localize / re-center / gradient-step round."""
-    t_tilde = search_offset(oracle, state.w, state.sigma, t_prime, delta)
+    """One localize / re-center / gradient-step round that certifies its
+    own next sigma.
+
+    The round estimates the localized Chow mean g at the in-window offset
+    t~ and steps w along g_perp = g - (g.w) w with step mu = sigma / c1.
+    For any label law that depends on x only through w*.x (clean, random
+    flips, a margin band), E g is parallel to the localized target's
+    normal (a sigma w + b u) with a = cos theta, b = sin theta, so
+    ||E g_perp|| / E g.w = tan(theta) / sigma.  Take the radii of
+    ``chow_radii`` with delta split over the total_rounds + 1 rounds, as
+    ``gradient_sample_size`` does, and widen both by ``noise_shift``,
+    which bounds how far labels flipped off the margin law on a region
+    of mass up to epsilon / NOISE_FACTOR can move E g (the radii stay
+    those of the margin law).  Then if g.w > r_v + shift, with
+    probability >= 1 - delta / (total_rounds + 1)
+
+        sin(theta'/2) <= (sigma / 2) (||g_perp|| + r_perp + shift) / (g.w - r_v - shift)
+                         + (mu / 2) ||g_perp||  =: B
+
+    for the stepped direction: sin(theta/2) <= tan(theta) / 2 for
+    theta < pi/2, which holds while the invariant keeps theta <= pi/3,
+    and the step moves w by at most mu ||g_perp||.  The test is on g.w,
+    not |g.w|, since E g.w < 0 would mean theta > pi/2.  The next sigma
+    is min((1 - 1/c2) sigma, CERTIFICATE_SLACK * B), exactly
+    (1 - 1/c2) sigma when g.w <= r_v + shift, and never below
+    ``floor``.  The matching lower bound on tan(theta) gives
+    ``angle_floor``, a lower confidence bound on sin(theta/2) of the
+    direction the round started from.  The offset search starts from
+    the last accepted offset.
+    """
+    sigma = state.sigma
+    t_tilde = search_offset(oracle, state.w, sigma, t_prime, delta, start=state.accepted_offset)
     m = gradient_sample_size(state.w.shape[0], total_rounds, cfg, delta)
     Z = oracle.gaussian_points(m)
     g = empirical_projected_chow(
-        lambda pts: localized_query_batch(oracle, state.w, t_tilde, state.sigma, pts),
+        lambda pts: localized_query_batch(oracle, state.w, t_tilde, sigma, pts),
         Z,
-        exclude=state.w,
     )
-    stepped = state.w + (state.sigma / cfg.c1) * g
+    g_v = float(g @ state.w)
+    g_perp = g - g_v * state.w
+    norm_perp = float(np.linalg.norm(g_perp))
+    mu = sigma / cfg.c1
+    stepped = state.w + mu * g_perp
     w_next = stepped / np.linalg.norm(stepped)
+
+    r_v, r_perp = chow_radii(m, state.w.shape[0], delta / (total_rounds + 1))
+    shift = noise_shift(epsilon, sigma, t_tilde)
+    sigma_next = (1.0 - 1.0 / cfg.c2) * sigma
+    if g_v > r_v + shift:
+        bound = 0.5 * sigma * (norm_perp + r_perp + shift) / (g_v - r_v - shift) + 0.5 * mu * norm_perp
+        sigma_next = min(sigma_next, CERTIFICATE_SLACK * bound)
+    tan_lo = sigma * max(0.0, norm_perp - r_perp - shift) / (abs(g_v) + r_v + shift)
     return replace(
         state,
         w=w_next,
-        sigma=(1.0 - 1.0 / cfg.c2) * state.sigma,
+        sigma=max(floor, sigma_next),
         round=state.round + 1,
         accepted_offset=t_tilde,
+        angle_floor=math.sin(0.5 * math.atan(tan_lo)),
     )
 
 
@@ -216,11 +332,18 @@ def refine(
     Grid point t_j stops at sigma_j = min(sigma0, c_stop eps exp(t_j^2 / 2)).
     The rounds localize with the offset bracket [0, t_top], t_top =
     max(grid), from sigma0 (default min(1/t_top, 1/2)) down to the
-    smallest sigma_j.  Once the descent has run t_j's planned rounds
-    (largest sigma_j first), ``search_offset`` at (w, sigma, t_j) gives
-    t_j's hypothesis.  A round whose own offset search fails ends the
-    descent, and every grid point not yet resolved fails with it.
+    smallest sigma_j, each certifying its own next sigma but never going
+    below the stop scale of the next grid point due.  Once sigma reaches
+    sigma_j (largest sigma_j first), a strict ``search_offset`` at
+    (w, sigma, t_j) gives t_j's hypothesis; without an in-window verdict
+    the grid point fails.  The planned rounds of the fixed 1 - 1/c2
+    schedule size each round's samples and cap the descent's length.
 
+    A descent that runs rounds rejects its warm start (EntryRejected)
+    when no offset in [0, t_top] gets an in-window verdict at sigma0, or
+    when its first round's lower confidence bound on sin(theta/2)
+    exceeds sigma0.  A round whose own offset search fails ends the
+    descent, and every grid point not yet resolved fails with it.
     The oracle refusing a query (BudgetExceeded) also ends the descent:
     it returns the outcomes resolved so far, in resolution order, and
     the state after its last complete round.
@@ -229,12 +352,12 @@ def refine(
     t_top = max(grid)
     if sigma0 is None:
         sigma0 = entry_scale(t_top)
-    # (rounds before t_j is resolved, t_j), in the order they fall due
+    # (stop scale sigma_j, t_j), in the order they fall due
     due = [
-        (planned_rounds(sigma0, cfg.c_stop * epsilon * math.exp(t * t / 2.0), cfg.c2), t)
+        (min(sigma0, cfg.c_stop * epsilon * math.exp(t * t / 2.0)), t)
         for t in sorted(grid, key=abs, reverse=True)
     ]
-    total = due[-1][0]
+    total = planned_rounds(sigma0, due[-1][0], cfg.c2)
     state = RefineState(
         w=np.asarray(w0, dtype=float),
         sigma=sigma0,
@@ -244,17 +367,31 @@ def refine(
     )
     outcomes: list[GridOutcome] = []
     try:
-        for rounds, t_j in due:
-            while state.round < rounds:
+        if total > 0:
+            # entry: the warm start must put the localized rate in the
+            # bias window at sigma0; the first round's search starts there
+            try:
+                t_entry = search_offset(oracle, state.w, sigma0, t_top, delta, strict=True)
+            except OffsetNotFound as exc:
+                raise EntryRejected(f"entry: {exc}") from exc
+            state = replace(state, accepted_offset=t_entry)
+        for sigma_j, t_j in due:
+            while state.sigma > sigma_j:
                 try:
-                    state = refine_round(oracle, state, t_top, cfg, delta, total)
+                    state = refine_round(
+                        oracle, state, t_top, cfg, delta, total, epsilon=epsilon, floor=sigma_j
+                    )
                 except OffsetNotFound:
                     outcomes += [
                         GridOutcome(t, state.sigma, state.round, None) for _, t in due[len(outcomes):]
                     ]
                     return outcomes, state
+                if state.round == 1 and state.angle_floor > sigma0:
+                    raise EntryRejected(
+                        f"first round bounds sin(theta/2) >= {state.angle_floor:.3g} > sigma0 {sigma0:.3g}"
+                    )
             try:
-                t_hat = search_offset(oracle, state.w, state.sigma, t_j, delta)
+                t_hat = search_offset(oracle, state.w, state.sigma, t_j, delta, strict=True)
                 h = Halfspace(state.w, t_hat)
             except OffsetNotFound:
                 h = None

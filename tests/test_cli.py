@@ -280,12 +280,12 @@ class TestMainModes:
         assert int(row["rounds"]) > 0
 
     def test_budget_spent_in_tournament_exits_2(self, tmp_path):
-        # two restarts reach the tournament at ledger 1,165,370; the vote over
-        # their three merged leaders (260 queries a pair) would end at 1,166,150
+        # two restarts reach the tournament at ledger 507,739; the vote over
+        # their three merged leaders (260 queries a pair) would end at 508,519
         out = tmp_path / "budget.csv"
         code = main([
             "--mode", "learn", "--dim", "10", "--tstar", "1.0", "--epsilon", "0.02",
-            "--seed", "0", "--budget", "1166000", "--set", "restarts_per_gridpoint=2",
+            "--seed", "3", "--budget", "508100", "--set", "restarts_per_gridpoint=2",
             "--out", str(out),
         ])
         assert code == 2
@@ -293,7 +293,7 @@ class TestMainModes:
         row = dict(zip(header, rows[0]))
         assert row["verdict"] == "budget"
         assert int(row["queries_tournament"]) > 0
-        assert int(row["total_queries"]) <= 1_166_000
+        assert int(row["total_queries"]) <= 508_100
 
     def test_spent_oracle_skips_the_tournament(self, tmp_path, monkeypatch):
         # the budget runs out in refine: no vote can be taken, so the medoid
@@ -306,10 +306,10 @@ class TestMainModes:
             learner, "sample_disagreement", lambda *args: calls.append(args) or sample(*args)
         )
         out = tmp_path / "budget.csv"
-        for tstar, err, total in [("1.0", "0.00035", "1099608"), ("-1.0", "0.00259", "1099858")]:
+        for tstar, err, total in [("1.0", "0.00284", "496987"), ("-1.0", "0.00259", "498238")]:
             code = main([
                 "--mode", "learn", "--dim", "10", "--tstar", tstar, "--epsilon", "0.02",
-                "--seed", "0", "--budget", "1100000", "--set", "restarts_per_gridpoint=2",
+                "--seed", "0", "--budget", "500000", "--set", "restarts_per_gridpoint=2",
                 "--out", str(out),
             ])
             assert code == 2

@@ -7,10 +7,12 @@ import pytest
 from scipy.special import erfcx, ndtr
 
 import halfspace_lab.learner as learner
+import halfspace_lab.refinement as refinement
 from halfspace_lab.geometry import Halfspace, disagreement_mass
 from halfspace_lab.initialization import InitFailure
 from halfspace_lab.learner import (
     LearnerConfig,
+    RefineConfig,
     constant_plus_one_hypothesis,
     learn,
     medoid,
@@ -21,9 +23,12 @@ from halfspace_lab.learner import (
 from halfspace_lab.oracles import (
     CleanLabels,
     MembershipOracle,
+    RandomFlip,
+    RegionFlip,
     SmallClassOracle,
     WhiteBoxView,
 )
+from halfspace_lab.refinement import EntryRejected, refine_round
 from halfspace_lab.rng import substream
 
 from conftest import rotated_from, unit_vector
@@ -310,6 +315,120 @@ class TestLearn:
         )
         assert report.verdict == "learned"
 
+    def test_warm_start_rejected_at_entry_falls_back(self, monkeypatch):
+        # the first warm start is far off (sin(theta/2) = 0.65, as an
+        # extreme-threshold start once was): the descent finds no in-window
+        # offset in [0, t_top] at sigma0 and rejects it at entry, which
+        # counts as a failed warm start, and the restart goes on from the
+        # next grid point's warm start instead of ending
+        tried, descents = [], []
+
+        def bad_first(init):
+            def wrapped(oracle, t, *args):
+                tried.append(t)
+                if len(tried) == 1:
+                    w_star = oracle.source.target.w
+                    return rotated_from(w_star, 2.0 * math.asin(0.65), substream(0, "bad-start"))
+                return init(oracle, t, *args)
+            return wrapped
+
+        def spy(refine):
+            def wrapped(*args, **kwargs):
+                try:
+                    out = refine(*args, **kwargs)
+                except EntryRejected:
+                    descents.append("rejected")
+                    raise
+                descents.append("ran")
+                return out
+            return wrapped
+
+        for name in ("init_extreme", "init_unextreme"):
+            monkeypatch.setattr(learner, name, bad_first(getattr(learner, name)))
+        monkeypatch.setattr(learner, "refine", spy(learner.refine))
+        # learn-smallclass's extreme-threshold setting
+        cfg = LearnerConfig(
+            epsilon=0.001, restarts_per_gridpoint=1, grid_step=1.0,
+            refine=RefineConfig(c_stop=10.0, grad_samples_multiplier=10.0),
+        )
+        report = learn(make_oracle(t=2.5, d=5, seed=3), cfg)
+        assert descents == ["rejected", "ran"]
+        assert len(tried) == 2 and tried[0] > tried[1]
+        assert report.init_failures == 1
+        assert report.attempts == (
+            len(report.candidates) + report.init_failures + report.offset_failures
+        )
+        assert stage_sum(report) == report.total_queries
+        assert report.verdict == "learned"
+        assert report.err_estimate <= 0.01
+
+    def test_no_candidate_below_the_target_under_label_noise(self):
+        # with rcn flips the localized rate never falls below the validity
+        # window, so a grid point's search must see the bias window itself;
+        # the points below t* fail instead of emitting t_hat < t*
+        t_star = 1.0
+        oracle = MembershipOracle(RandomFlip(make_oracle(t=t_star, d=10, seed=1).source.target, 0.05), 1)
+        report = learn(oracle, FAST)
+        assert report.verdict == "learned"
+        assert report.offset_failures > 0
+        assert all(c.t > t_star - 0.1 for c in report.candidates), [c.t for c in report.candidates]
+
+    def test_learner_reads_no_ground_truth(self):
+        # a source with only dim and sample_labels (no target, opt or
+        # margin flag) gives the same run as the full source
+        class LabelsOnly:
+            __slots__ = ("_source",)
+
+            def __init__(self, source):
+                self._source = source
+
+            @property
+            def dim(self):
+                return self._source.dim
+
+            def sample_labels(self, X, rng):
+                return self._source.sample_labels(X, rng)
+
+        full = make_oracle(t=1.0, d=6, seed=11)
+        blind = MembershipOracle(LabelsOnly(full.source), 11)
+        a, b = learn(full, FAST), learn(blind, FAST)
+        assert a.verdict == b.verdict == "learned"
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if f.name == "candidates":
+                assert [(c.w.tolist(), c.t) for c in x] == [(c.w.tolist(), c.t) for c in y]
+            elif f.name == "hypothesis":
+                assert (x.w.tolist(), x.t) == (y.w.tolist(), y.t)
+            else:
+                assert x == y, f.name
+        assert blind.ledger == full.ledger
+
+    def test_region_flip_off_the_margin_law(self, monkeypatch):
+        # labels flipped on half of a thin band around the target boundary,
+        # the half with v.x > 0 for a v orthogonal to w*: not a function of
+        # the margin, mass eps/32.  Every certified sigma still covers the
+        # true angle, and the learn reaches eps
+        eps = 0.02
+        rng = substream(1, "region-flip")
+        target = Halfspace(unit_vector(rng, 10), 1.0)
+        v = rotated_from(target.w, math.pi / 2, rng)
+        # Phi(-1 + h) - Phi(-1 - h) = eps / 16
+        h = 0.002582957096328608
+        source = RegionFlip(target, lambda X: (np.abs(target.margins(X)) <= h) & (X @ v > 0), eps / 32)
+        view = WhiteBoxView(source)
+        covered = []
+
+        def spy(*args, **kwargs):
+            state = refine_round(*args, **kwargs)
+            covered.append(view.half_angle_sine(state.w) <= state.sigma)
+            return state
+
+        monkeypatch.setattr(refinement, "refine_round", spy)
+        report = learn(MembershipOracle(source, 1), LearnerConfig(epsilon=eps, restarts_per_gridpoint=1))
+        assert report.verdict == "learned"
+        assert len(covered) == report.rounds > 0 and all(covered)
+        assert disagreement_mass(report.hypothesis, target) <= eps
+
     def test_tiny_bias_returns_constant(self):
         oracle = make_oracle(t=3.5, d=5, seed=0)
         report = learn(oracle, LearnerConfig(epsilon=0.05, restarts_per_gridpoint=1))
@@ -344,15 +463,15 @@ class TestLearn:
         assert report.total_queries <= 5000
 
     # the unbudgeted learn at d=10, t=1, seed 0 spends 67,428 queries on
-    # the probe and bias ladder, then 2,604 per warm start; with two
-    # restarts it reaches the tournament at ledger 1,168,120, and the vote
-    # over its three merged leaders (260 queries a pair) ends at 1,168,900
+    # the probe and bias ladder, then 2,604 per warm start; with three
+    # restarts it reaches the tournament at ledger 734,146, and the vote
+    # over its three merged leaders (260 queries a pair) ends at 734,926
     @pytest.mark.parametrize("budget,restarts,stage", [
         (150, 1, "probe"),
         (20_000, 1, "bias"),
         (68_500, 1, "init"),
         (100_000, 1, "refine"),
-        (1_168_500, 2, "tournament"),
+        (734_500, 3, "tournament"),
     ])
     def test_budget_is_a_hard_ceiling(self, budget, restarts, stage):
         oracle = make_oracle(t=1.0, d=10, seed=0, budget=budget)

@@ -2,16 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
+import halfspace_lab.refinement as refinement
 from halfspace_lab.geometry import Halfspace
-from halfspace_lab.oracles import CleanLabels, MembershipOracle, WhiteBoxView
+from halfspace_lab.oracles import BoundaryBand, CleanLabels, MembershipOracle, RandomFlip, WhiteBoxView
+from halfspace_lab.estimation import window_check_samples
 from halfspace_lab.refinement import (
+    BIAS_WINDOW,
+    MAX_BISECTION_STEPS,
+    EntryRejected,
     OffsetNotFound,
     RefineConfig,
     RefineState,
     VALIDITY_WINDOW,
     entry_scale,
     gradient_sample_size,
+    noise_shift,
     planned_rounds,
     refine,
     refine_round,
@@ -68,6 +75,26 @@ class TestSearchOffset:
         with pytest.raises(OffsetNotFound):
             search_offset(oracle, w0, 0.02, 1.0, delta=0.1)
 
+    def test_strict_search_needs_the_bias_window(self):
+        # a bracket [0, t'] below t* under rcn flips: the localized rate
+        # stays near the flip rate, inside the validity window but never in
+        # the bias window, so only the lenient search settles for an offset
+        oracle, _, _ = setup_problem(t=1.0)
+        target = oracle.source.target
+        noisy = MembershipOracle(RandomFlip(target, 0.05), 0)
+        t_hat = search_offset(noisy, target.w, 0.05, 0.7, delta=0.1)
+        assert 0.7 - 0.05 <= t_hat <= 0.7
+        with pytest.raises(OffsetNotFound):
+            search_offset(noisy, target.w, 0.05, 0.7, delta=0.1, strict=True)
+
+    def test_search_starts_at_the_given_offset(self):
+        # an in-window start is accepted with a single window check
+        oracle, _, _ = setup_problem(t=1.0)
+        target = oracle.source.target
+        t_hat = search_offset(oracle, target.w, 0.05, 2.0, delta=0.1, start=1.0)
+        assert t_hat == 1.0
+        assert oracle.ledger == window_check_samples(*BIAS_WINDOW, 0.1 / MAX_BISECTION_STEPS)
+
     def test_rejects_bad_sigma(self):
         oracle, w0, _ = setup_problem()
         with pytest.raises(ValueError):
@@ -119,25 +146,37 @@ class TestDescent:
     def stop_scale(self, t, sigma0, cfg):
         return min(sigma0, cfg.c_stop * self.EPS * math.exp(t * t / 2.0))
 
-    def test_resolves_grid_in_decreasing_sigma(self):
+    def test_resolves_grid_in_decreasing_sigma(self, monkeypatch):
         oracle, w0, view = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
         cfg = RefineConfig()
         sigma0 = entry_scale(max(self.GRID))
+        # sigmas[k] is the scale after k rounds
+        sigmas_run = [sigma0]
+
+        def spy(*args, **kwargs):
+            state = refine_round(*args, **kwargs)
+            sigmas_run.append(state.sigma)
+            return state
+
+        monkeypatch.setattr(refinement, "refine_round", spy)
         outcomes, state = refine(oracle, w0, self.GRID, self.EPS, 0.1, cfg)
         assert [o.t_prime for o in outcomes] == sorted(self.GRID, reverse=True)
         sigmas = [o.sigma for o in outcomes]
         assert sigmas == sorted(sigmas, reverse=True)
         for o in outcomes:
-            # resolved at the first round whose sigma is at or below the stop scale
+            # resolved at the first round whose sigma is at or below the
+            # stop scale, which the descent lands on exactly, and no later
+            # than the fixed 1 - 1/c2 schedule would get there
             sigma_j = self.stop_scale(o.t_prime, sigma0, cfg)
-            assert o.round == planned_rounds(sigma0, sigma_j, cfg.c2)
-            assert o.sigma <= sigma_j * (1 + 1e-9)
-            assert o.round == 0 or o.sigma / (1 - 1 / cfg.c2) > sigma_j
+            assert o.sigma == sigmas_run[o.round] == sigma_j
+            assert o.round == 0 or sigmas_run[o.round - 1] > sigma_j
+            assert o.round <= planned_rounds(sigma0, sigma_j, cfg.c2)
             if o.t_prime >= 1.0:
                 assert o.hypothesis is not None, o.t_prime
                 assert view.half_angle_sine(o.hypothesis.w) <= o.sigma
         min_sigma = min(self.stop_scale(t, sigma0, cfg) for t in self.GRID)
-        assert state.round == planned_rounds(sigma0, min_sigma, cfg.c2)
+        assert state.sigma == min_sigma
+        assert state.round == len(sigmas_run) - 1 <= planned_rounds(sigma0, min_sigma, cfg.c2)
 
     def test_points_below_target_fail_alone(self):
         oracle, w0, view = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
@@ -158,3 +197,95 @@ class TestDescent:
         assert state.round > 0
         assert len(outcomes) < len(self.GRID)
         assert oracle.ledger <= cap
+
+
+class TestCertificate:
+    """Each round's certified sigma against the true angle (WhiteBoxView)."""
+
+    # criterion 9's band half-width; sigma sits just above it, where the
+    # band covers most of the localized window
+    BAND = 0.0206636568333965
+    SIGMA = 0.03
+    SOURCES = {
+        "clean": lambda h: CleanLabels(h),
+        "rcn": lambda h: RandomFlip(h, 0.05),
+        "band": lambda h: BoundaryBand(h, TestCertificate.BAND),
+    }
+
+    def one_round(self, kind, seed, epsilon=0.0):
+        rng = substream(seed, "certificate")
+        w_star = unit_vector(rng, 10)
+        oracle = MembershipOracle(self.SOURCES[kind](Halfspace(w_star, 1.0)), seed)
+        # any start that meets the invariant sin(theta/2) <= sigma
+        w0 = rotated_from(w_star, 2.0 * math.asin(self.SIGMA * rng.uniform(0.02, 0.6)), rng)
+        state = RefineState(w=w0, sigma=self.SIGMA, round=3, accepted_offset=math.nan, ledger_start=0)
+        nxt = refine_round(oracle, state, 1.25, RefineConfig(), 0.1, 100, epsilon=epsilon)
+        return WhiteBoxView(oracle.source), w0, nxt
+
+    @pytest.mark.parametrize("kind", sorted(SOURCES))
+    def test_certified_sigma_bounds_the_true_angle(self, kind):
+        cfg = RefineConfig()
+        covered = floors_below = contracted = 0
+        for seed in range(100):
+            view, w0, nxt = self.one_round(kind, seed)
+            covered += view.half_angle_sine(nxt.w) <= nxt.sigma
+            floors_below += nxt.angle_floor <= view.half_angle_sine(w0)
+            contracted += nxt.sigma < (1 - 1 / cfg.c2) * self.SIGMA
+        assert covered >= 99
+        assert floors_below >= 99
+        # the certificate is in force, not declined, on a fair share of
+        # seeds (those whose angle sits well below sigma)
+        assert contracted >= 20
+
+    def test_declined_certificate_contracts_by_the_fixed_factor(self):
+        cfg = RefineConfig()
+        # with noise mass epsilon / NOISE_FACTOR this large, the shift a
+        # flipped region could cause swamps the Chow estimate's w part
+        _, _, nxt = self.one_round("clean", 0, epsilon=1.0)
+        assert nxt.sigma == (1 - 1 / cfg.c2) * self.SIGMA
+
+    def test_never_below_the_floor(self):
+        oracle, w0, _ = setup_problem(angle=0.01)
+        state = RefineState(w=w0, sigma=0.2, round=0, accepted_offset=math.nan, ledger_start=0)
+        free = refine_round(oracle, state, 1.0, RefineConfig(), 0.1, 10)
+        assert free.sigma < 0.15
+        oracle, w0, _ = setup_problem(angle=0.01)
+        floored = refine_round(oracle, state, 1.0, RefineConfig(), 0.1, 10, floor=0.15)
+        assert floored.sigma == 0.15
+
+    def test_noise_shift(self):
+        assert noise_shift(0.0, 0.1, 1.0) == 0.0
+        # beta >= 1: every localized label may be flipped, 4 phi(0)
+        assert noise_shift(1.0, 0.01, 1.0) == pytest.approx(4.0 / math.sqrt(2.0 * math.pi))
+        # beta = (0.02 / 16) exp(1 / (2 (1 - 0.01))) / 0.1 = 0.020641...
+        beta = 0.02 / 16.0 * math.exp(1.0 / 1.98) / 0.1
+        q = -ndtri(beta / 2.0)
+        assert noise_shift(0.02, 0.1, 1.0) == pytest.approx(4.0 * math.exp(-q * q / 2.0) / math.sqrt(2.0 * math.pi))
+        assert noise_shift(0.02, 0.05, 1.0) > noise_shift(0.02, 0.1, 1.0)
+
+
+class TestEntry:
+    def test_bad_warm_start_is_rejected_at_entry(self):
+        # learn-smallclass geometry: d=5, t*=2.5, sigma0 = 1/t_top, and a
+        # warm start with sin(theta/2) = 0.65: no offset in [0, t_top] is
+        # in-window, and the descent rejects its entry
+        oracle, w0, view = setup_problem(d=5, t=2.5, angle=2.0 * math.asin(0.65), seed=11)
+        grid = [2.487, 2.725]
+        with pytest.raises(EntryRejected):
+            refine(oracle, w0, grid, 0.001, 0.1, RefineConfig(c_stop=10.0, grad_samples_multiplier=10.0),
+                   sigma0=entry_scale(max(grid)))
+
+    def test_lower_bound_rejects_an_entry_scale_too_small(self):
+        # the offset search succeeds, but the Chow estimate bounds the
+        # angle (sin(theta/2) = 0.45) above sigma0; at this fine an epsilon
+        # the bound leaves next to no room for flipped labels
+        oracle, w0, view = setup_problem(d=8, t=1.0, angle=2.0 * math.asin(0.45), seed=3)
+        with pytest.raises(EntryRejected, match="first round bounds"):
+            refine(oracle, w0, [1.0], 1e-4, 0.1, sigma0=0.1)
+
+    def test_good_entry_is_kept(self):
+        oracle, w0, view = setup_problem(d=8, t=1.0, angle=2.0 * math.asin(0.2), seed=3)
+        (outcome,), state = refine(oracle, w0, [1.0], 0.05, 0.1, sigma0=0.5)
+        assert state.round > 0
+        assert state.angle_floor <= state.sigma
+        assert outcome.hypothesis is not None
