@@ -4,12 +4,12 @@ initialization plus refinement, and tournament selection.
 The flow: bracket the minority-class mass p (or bail out with the
 constant +1 hypothesis when p is already epsilon-small), invert the
 bias bracket into a threshold interval, grid it, then per restart
-warm-start once at the top grid point and run one localized descent
-that yields a candidate for every grid point on its way down, and
-finally pick a winner from the candidate pool: candidates within
-epsilon / MERGE_FACTOR exact disagreement mass of an earlier one are
-merged into it, and the remaining leaders are put to a pairwise
-disagreement vote.
+warm-start at the top grid point (falling back down the grid) and run
+one localized descent whose offset bracket reaches the top grid point,
+which yields at most one candidate, and finally pick a winner from the
+candidate pool: candidates within epsilon / MERGE_FACTOR exact
+disagreement mass of an earlier one are merged into it, and the
+remaining leaders are put to a pairwise disagreement vote.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ def constant_plus_one_hypothesis(dim: int) -> Halfspace:
 class LearnerConfig:
     epsilon: float
     delta: float = 0.1
-    # attempts per grid threshold; None = ln^2(1/eps) ln(1/delta), capped
+    # restarts, each one warm start and one descent; None =
+    # ln^2(1/eps) ln(1/delta), capped
     restarts_per_gridpoint: int | None = None
     grid_step: float | None = None
     refine: RefineConfig = field(default_factory=RefineConfig)
@@ -101,7 +102,7 @@ class RunReport:
     rounds: int
     candidates: list
     flipped: bool = False
-    # attempts: failed warm starts plus grid points a descent resolved;
+    # attempts: failed warm starts plus descents that ran to their end;
     # those that ended without a candidate are split by cause
     attempts: int = 0
     init_failures: int = 0
@@ -349,7 +350,7 @@ def _learn(oracle: MembershipOracle, cfg: LearnerConfig, small_class: SmallClass
         for _ in range(cfg.restarts()):
             # warm-start at the top grid point, falling back down the grid
             # when the start fails or the descent rejects it at entry
-            outcomes = None
+            descent = None
             for t_init in reversed(grid):
                 mark = oracle.ledger
                 try:
@@ -362,8 +363,8 @@ def _learn(oracle: MembershipOracle, cfg: LearnerConfig, small_class: SmallClass
                     n["queries_init"] += oracle.ledger - mark
                 mark = oracle.ledger
                 try:
-                    outcomes, state = refine(
-                        oracle, w0, grid, cfg.epsilon, cfg.delta, cfg.refine, sigma0=entry_scale(t_init)
+                    descent = refine(
+                        oracle, w0, grid[-1], cfg.epsilon, cfg.delta, cfg.refine, sigma0=entry_scale(t_init)
                     )
                     break
                 except EntryRejected:
@@ -371,15 +372,18 @@ def _learn(oracle: MembershipOracle, cfg: LearnerConfig, small_class: SmallClass
                     n["init_failures"] += 1
                 finally:
                     n["queries_refine"] += oracle.ledger - mark
-            if outcomes is None:
+            if descent is None:
                 continue
+            h, state = descent
             n["rounds"] += state.round
-            n["attempts"] += len(outcomes)
-            for o in outcomes:
-                if o.hypothesis is None:
-                    n["offset_failures"] += 1
-                else:
-                    candidates.append(o.hypothesis)
+            if h is not None:
+                candidates.append(h)
+            elif oracle.spent:
+                # stopped by the budget before it accepted an offset
+                break
+            else:
+                n["offset_failures"] += 1
+            n["attempts"] += 1
     except BudgetExceeded:
         pass
 

@@ -8,9 +8,9 @@ the localized concept, and takes a projected gradient step.  sigma is an
 upper bound on sin(theta/2) to the target direction.  Each round
 certifies how far it may fall from the ratio of the Chow estimate's
 components across and along w, which it already pays for; a round whose
-certificate is too weak contracts by the fixed factor 1 - 1/c2.  One
-descent serves every threshold of the learner's grid: each grid point's
-offset is searched once sigma reaches that point's stop scale.
+certificate is too weak contracts by the fixed factor 1 - 1/c2.  A
+descent stops at the scale its own accepted offset calls for, and one
+last offset search at that scale gives its hypothesis.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .oracles import BudgetExceeded, MembershipOracle, localized_query_batch
 __all__ = [
     "RefineConfig",
     "RefineState",
-    "GridOutcome",
     "OffsetNotFound",
     "EntryRejected",
     "search_offset",
@@ -47,7 +46,7 @@ class OffsetNotFound(RuntimeError):
     """No localization offset put the negative rate inside the bias window.
 
     Signals that sigma undershoots the actual angle, the threshold range
-    is wrong, or noise swamps the window.  The grid point being resolved
+    is wrong, or noise swamps the window.  The descent that searched
     then yields no hypothesis.
     """
 
@@ -114,7 +113,6 @@ class RefineState:
     sigma: float
     round: int
     accepted_offset: float
-    ledger_start: int
     # lower confidence bound on sin(theta/2) of the direction the last
     # round started from (0 before any round)
     angle_floor: float = 0.0
@@ -306,66 +304,47 @@ def entry_scale(t_prime: float) -> float:
     return min(1.0 / t_prime, 0.5) if t_prime > 0 else 0.5
 
 
-@dataclass(frozen=True)
-class GridOutcome:
-    """How a descent resolved one grid threshold t': the scale and round
-    at which it ran ``search_offset``, and the hypothesis that search
-    gave, or None when it raised ``OffsetNotFound``."""
-
-    t_prime: float
-    sigma: float
-    round: int
-    hypothesis: Halfspace | None
-
-
 def refine(
     oracle: MembershipOracle,
     w0: np.ndarray,
-    grid: list[float],
+    t_top: float,
     epsilon: float,
     delta: float,
     cfg: RefineConfig | None = None,
     sigma0: float | None = None,
-) -> tuple[list[GridOutcome], RefineState]:
-    """One descent from w0 that resolves every grid threshold.
+) -> tuple[Halfspace | None, RefineState]:
+    """One descent from w0 with the offset bracket [0, t_top].
 
-    Grid point t_j stops at sigma_j = min(sigma0, c_stop eps exp(t_j^2 / 2)).
-    The rounds localize with the offset bracket [0, t_top], t_top =
-    max(grid), from sigma0 (default min(1/t_top, 1/2)) down to the
-    smallest sigma_j, each certifying its own next sigma but never going
-    below the stop scale of the next grid point due.  Once sigma reaches
-    sigma_j (largest sigma_j first), a strict ``search_offset`` at
-    (w, sigma, t_j) gives t_j's hypothesis; without an in-window verdict
-    the grid point fails.  The planned rounds of the fixed 1 - 1/c2
-    schedule size each round's samples and cap the descent's length.
+    The rounds start at sigma0 (default min(1/t_top, 1/2)), each
+    certifying its own next sigma, and run while sigma exceeds the stop
+    scale of the last accepted offset t~, sigma_stop(t~) = min(sigma0,
+    c_stop eps exp(t~^2 / 2)), which each round takes as its floor, so
+    the descent lands on it.  The accepted offset tracks t* whenever
+    t_top >= t*, so the bracket does the threshold grid's work.  The
+    planned rounds of the fixed 1 - 1/c2 schedule down to the smallest
+    stop scale, sigma_stop(0), size each round's samples and cap the
+    descent's length.  A strict ``search_offset`` at the final (w,
+    sigma), starting from t~, gives the hypothesis, or None without an
+    in-window verdict.
 
     A descent that runs rounds rejects its warm start (EntryRejected)
     when no offset in [0, t_top] gets an in-window verdict at sigma0, or
     when its first round's lower confidence bound on sin(theta/2)
     exceeds sigma0.  A round whose own offset search fails ends the
-    descent, and every grid point not yet resolved fails with it.
-    The oracle refusing a query (BudgetExceeded) also ends the descent:
-    it returns the outcomes resolved so far, in resolution order, and
-    the state after its last complete round.
+    descent with None.  The oracle refusing a query (BudgetExceeded)
+    also ends it: it returns the state after its last complete round
+    and, once an offset has been accepted, Halfspace(w, t~) of that
+    state without a further query.
     """
     cfg = cfg or RefineConfig()
-    t_top = max(grid)
     if sigma0 is None:
         sigma0 = entry_scale(t_top)
-    # (stop scale sigma_j, t_j), in the order they fall due
-    due = [
-        (min(sigma0, cfg.c_stop * epsilon * math.exp(t * t / 2.0)), t)
-        for t in sorted(grid, key=abs, reverse=True)
-    ]
-    total = planned_rounds(sigma0, due[-1][0], cfg.c2)
-    state = RefineState(
-        w=np.asarray(w0, dtype=float),
-        sigma=sigma0,
-        round=0,
-        accepted_offset=math.nan,
-        ledger_start=oracle.ledger,
-    )
-    outcomes: list[GridOutcome] = []
+
+    def stop_scale(t: float) -> float:
+        return min(sigma0, cfg.c_stop * epsilon * math.exp(t * t / 2.0))
+
+    total = planned_rounds(sigma0, stop_scale(0.0), cfg.c2)
+    state = RefineState(w=np.asarray(w0, dtype=float), sigma=sigma0, round=0, accepted_offset=math.nan)
     try:
         if total > 0:
             # entry: the warm start must put the localized rate in the
@@ -375,27 +354,17 @@ def refine(
             except OffsetNotFound as exc:
                 raise EntryRejected(f"entry: {exc}") from exc
             state = replace(state, accepted_offset=t_entry)
-        for sigma_j, t_j in due:
-            while state.sigma > sigma_j:
-                try:
-                    state = refine_round(
-                        oracle, state, t_top, cfg, delta, total, epsilon=epsilon, floor=sigma_j
-                    )
-                except OffsetNotFound:
-                    outcomes += [
-                        GridOutcome(t, state.sigma, state.round, None) for _, t in due[len(outcomes):]
-                    ]
-                    return outcomes, state
-                if state.round == 1 and state.angle_floor > sigma0:
-                    raise EntryRejected(
-                        f"first round bounds sin(theta/2) >= {state.angle_floor:.3g} > sigma0 {sigma0:.3g}"
-                    )
-            try:
-                t_hat = search_offset(oracle, state.w, state.sigma, t_j, delta, strict=True)
-                h = Halfspace(state.w, t_hat)
-            except OffsetNotFound:
-                h = None
-            outcomes.append(GridOutcome(t_j, state.sigma, state.round, h))
+        while state.round < total and state.sigma > (floor := stop_scale(state.accepted_offset)):
+            state = refine_round(oracle, state, t_top, cfg, delta, total, epsilon=epsilon, floor=floor)
+            if state.round == 1 and state.angle_floor > sigma0:
+                raise EntryRejected(
+                    f"first round bounds sin(theta/2) >= {state.angle_floor:.3g} > sigma0 {sigma0:.3g}"
+                )
+        t_hat = search_offset(oracle, state.w, state.sigma, t_top, delta, strict=True, start=state.accepted_offset)
+        return Halfspace(state.w, t_hat), state
+    except OffsetNotFound:
+        return None, state
     except BudgetExceeded:
-        pass
-    return outcomes, state
+        if math.isnan(state.accepted_offset):
+            return None, state
+        return Halfspace(state.w, state.accepted_offset), state

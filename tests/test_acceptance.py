@@ -194,7 +194,7 @@ def test_criterion_07_refinement_contraction():
         sigma_final = min(sigma0, eps * math.exp(t_star ** 2 / 2.0))
         total = planned_rounds(sigma0, sigma_final, cfg.c2)
         state = RefineState(w=w0, sigma=sigma0, round=0,
-                            accepted_offset=math.nan, ledger_start=0)
+                            accepted_offset=math.nan)
         invariant = view.half_angle_sine(state.w) <= state.sigma
         for _ in range(total):
             state = refine_round(oracle, state, t_star, cfg, 0.1, total)

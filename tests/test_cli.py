@@ -176,6 +176,18 @@ class TestMainModes:
         assert stats["game_negatives_found"] == "1000"
         assert stats["game_queries_used"] == "1376"
 
+    def test_readme_one_restart_learn_pinned(self, tmp_path):
+        # the README's first learn with one restart: a change to what the
+        # learner queries shows up here as a plain diff
+        out = tmp_path / "learn.csv"
+        assert main([
+            "--mode", "learn", "--dim", "20", "--tstar", "1.0", "--epsilon", "0.02", "--seed", "7",
+            "--set", "restarts_per_gridpoint=1", "--out", str(out),
+        ]) == 0
+        header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert (row["verdict"], row["total_queries"], row["err_estimate"]) == ("learned", "401832", "0.00323")
+
     def test_selftest_mode(self, capsys):
         assert main(["--mode", "selftest"]) == 0
 
@@ -280,12 +292,12 @@ class TestMainModes:
         assert int(row["rounds"]) > 0
 
     def test_budget_spent_in_tournament_exits_2(self, tmp_path):
-        # two restarts reach the tournament at ledger 507,739; the vote over
-        # their three merged leaders (260 queries a pair) would end at 508,519
+        # three restarts reach the tournament at ledger 575,382; the vote over
+        # their three merged leaders (260 queries a pair) would end at 576,162
         out = tmp_path / "budget.csv"
         code = main([
             "--mode", "learn", "--dim", "10", "--tstar", "1.0", "--epsilon", "0.02",
-            "--seed", "3", "--budget", "508100", "--set", "restarts_per_gridpoint=2",
+            "--seed", "4", "--budget", "575700", "--set", "restarts_per_gridpoint=3",
             "--out", str(out),
         ])
         assert code == 2
@@ -293,7 +305,7 @@ class TestMainModes:
         row = dict(zip(header, rows[0]))
         assert row["verdict"] == "budget"
         assert int(row["queries_tournament"]) > 0
-        assert int(row["total_queries"]) <= 508_100
+        assert int(row["total_queries"]) <= 575_700
 
     def test_spent_oracle_skips_the_tournament(self, tmp_path, monkeypatch):
         # the budget runs out in refine: no vote can be taken, so the medoid
@@ -306,10 +318,10 @@ class TestMainModes:
             learner, "sample_disagreement", lambda *args: calls.append(args) or sample(*args)
         )
         out = tmp_path / "budget.csv"
-        for tstar, err, total in [("1.0", "0.00284", "496987"), ("-1.0", "0.00259", "498238")]:
+        for tstar, err, total in [("1.0", "0.00075", "329118"), ("-1.0", "0.00374", "327618")]:
             code = main([
                 "--mode", "learn", "--dim", "10", "--tstar", tstar, "--epsilon", "0.02",
-                "--seed", "0", "--budget", "500000", "--set", "restarts_per_gridpoint=2",
+                "--seed", "0", "--budget", "330000", "--set", "restarts_per_gridpoint=2",
                 "--out", str(out),
             ])
             assert code == 2

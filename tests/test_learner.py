@@ -50,6 +50,16 @@ def stage_sum(report):
 FAST = LearnerConfig(epsilon=0.02, delta=0.1, restarts_per_gridpoint=1)
 
 
+def failing_first(init, tried):
+    """init, but the first warm start, whose threshold goes to tried first, fails."""
+    def wrapped(oracle, t, *args):
+        tried.append(t)
+        if len(tried) == 1:
+            raise InitFailure("first try fails")
+        return init(oracle, t, *args)
+    return wrapped
+
+
 class TestConfig:
     def test_settable_values(self):
         # the learn-mode --set keys, plus the two values the scenario owns
@@ -176,7 +186,7 @@ class TestMerge:
             learner, "sample_disagreement", lambda h1, h2, *a: sampled.append((h1, h2)) or sample(h1, h2, *a)
         )
         monkeypatch.setattr(learner, "tournament", lambda cands, *a: voted.append(cands) or vote(cands, *a))
-        report = learn(make_oracle(t=1.0, d=10, seed=0), LearnerConfig(self.EPS, restarts_per_gridpoint=2))
+        report = learn(make_oracle(t=1.0, d=10, seed=0), LearnerConfig(self.EPS, restarts_per_gridpoint=4))
         cands = report.candidates
         [leaders] = voted
         assert 1 < len(leaders) < len(cands)
@@ -273,11 +283,14 @@ class TestLearn:
         assert report.err_estimate <= 0.1
         assert not report.flipped
 
-    def test_stage_counts_sum_to_ledger(self):
+    def test_stage_counts_sum_to_ledger(self, monkeypatch):
+        # the first warm start fails, so this learn has a failed attempt
+        for name in ("init_extreme", "init_unextreme"):
+            monkeypatch.setattr(learner, name, failing_first(getattr(learner, name), []))
         oracle = make_oracle(t=1.0, d=5, seed=3)
         report = learn(oracle, FAST)
         assert stage_sum(report) == report.total_queries == oracle.ledger
-        # failed attempts are counted too; this learn has some
+        # failed attempts are counted too
         assert report.verdict == "learned"
         assert report.init_failures + report.offset_failures > 0
         assert report.attempts == (
@@ -289,14 +302,6 @@ class TestLearn:
         # down and starts its one descent at that point's entry scale
         tried, sigma0s = [], []
 
-        def failing_first(init):
-            def wrapped(oracle, t, *args):
-                tried.append(t)
-                if len(tried) == 1:
-                    raise InitFailure("first try fails")
-                return init(oracle, t, *args)
-            return wrapped
-
         def spy(refine):
             def wrapped(*args, **kwargs):
                 sigma0s.append(kwargs["sigma0"])
@@ -304,7 +309,7 @@ class TestLearn:
             return wrapped
 
         for name in ("init_extreme", "init_unextreme"):
-            monkeypatch.setattr(learner, name, failing_first(getattr(learner, name)))
+            monkeypatch.setattr(learner, name, failing_first(getattr(learner, name), tried))
         monkeypatch.setattr(learner, "refine", spy(learner.refine))
         report = learn(make_oracle(t=1.0, d=5, seed=3), FAST)
         assert len(tried) == 2 and tried[0] > tried[1]
@@ -364,13 +369,12 @@ class TestLearn:
 
     def test_no_candidate_below_the_target_under_label_noise(self):
         # with rcn flips the localized rate never falls below the validity
-        # window, so a grid point's search must see the bias window itself;
-        # the points below t* fail instead of emitting t_hat < t*
+        # window, so the descent's final search must see the bias window
+        # itself, and no candidate settles for t_hat < t*
         t_star = 1.0
         oracle = MembershipOracle(RandomFlip(make_oracle(t=t_star, d=10, seed=1).source.target, 0.05), 1)
         report = learn(oracle, FAST)
         assert report.verdict == "learned"
-        assert report.offset_failures > 0
         assert all(c.t > t_star - 0.1 for c in report.candidates), [c.t for c in report.candidates]
 
     def test_learner_reads_no_ground_truth(self):
@@ -464,14 +468,14 @@ class TestLearn:
 
     # the unbudgeted learn at d=10, t=1, seed 0 spends 67,428 queries on
     # the probe and bias ladder, then 2,604 per warm start; with three
-    # restarts it reaches the tournament at ledger 734,146, and the vote
-    # over its three merged leaders (260 queries a pair) ends at 734,926
+    # restarts it reaches the tournament at ledger 601,098, and the vote
+    # over its three merged leaders (260 queries a pair) ends at 601,878
     @pytest.mark.parametrize("budget,restarts,stage", [
         (150, 1, "probe"),
         (20_000, 1, "bias"),
         (68_500, 1, "init"),
         (100_000, 1, "refine"),
-        (734_500, 3, "tournament"),
+        (601_500, 3, "tournament"),
     ])
     def test_budget_is_a_hard_ceiling(self, budget, restarts, stage):
         oracle = make_oracle(t=1.0, d=10, seed=0, budget=budget)
@@ -494,6 +498,31 @@ class TestLearn:
         fallback = report.hypothesis.t == constant_plus_one_hypothesis(10).t
         produced = 0 if fallback else len(report.candidates)
         assert report.attempts == produced + report.init_failures + report.offset_failures
+
+    def test_budget_stop_in_a_descent_keeps_its_offset(self, monkeypatch):
+        # the budget runs out in the second restart's descent, after some
+        # rounds: that descent's last state is a candidate, taken without a
+        # further query, and it is no offset failure
+        states = []
+
+        def spy(*args, **kwargs):
+            h, state = refinement.refine(*args, **kwargs)
+            states.append(state)
+            return h, state
+
+        monkeypatch.setattr(learner, "refine", spy)
+        oracle = make_oracle(t=1.0, d=10, seed=0, budget=330_000)
+        report = learn(oracle, LearnerConfig(epsilon=0.02, restarts_per_gridpoint=2))
+        assert report.verdict == "budget"
+        assert oracle.ledger <= 330_000
+        assert len(states) == len(report.candidates) == 2
+        last = report.candidates[-1]
+        assert states[-1].round > 0
+        expected = Halfspace(states[-1].w, states[-1].accepted_offset)
+        assert (last.w.tolist(), last.t) == (expected.w.tolist(), expected.t)
+        assert report.rounds == sum(s.round for s in states)
+        assert report.offset_failures == 0
+        assert report.attempts == 2 + report.init_failures
 
     def test_small_class_oracle_replaces_exploration_queries(self):
         # bias bracketing and negative anchors come from free draws, so the

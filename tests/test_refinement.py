@@ -105,7 +105,7 @@ class TestRefineRound:
     def test_round_contracts_sigma_and_keeps_unit_norm(self):
         oracle, w0, _ = setup_problem(angle=0.4)
         cfg = RefineConfig()
-        state = RefineState(w=w0, sigma=0.5, round=0, accepted_offset=math.nan, ledger_start=0)
+        state = RefineState(w=w0, sigma=0.5, round=0, accepted_offset=math.nan)
         nxt = refine_round(oracle, state, 1.0, cfg, delta=0.1, total_rounds=10)
         assert nxt.sigma == pytest.approx((1 - 1 / cfg.c2) * 0.5)
         assert nxt.round == 1
@@ -113,7 +113,7 @@ class TestRefineRound:
 
     def test_round_decreases_angle(self):
         oracle, w0, view = setup_problem(angle=0.9, seed=4)
-        state = RefineState(w=w0, sigma=0.5, round=0, accepted_offset=math.nan, ledger_start=0)
+        state = RefineState(w=w0, sigma=0.5, round=0, accepted_offset=math.nan)
         nxt = refine_round(oracle, state, 1.0, RefineConfig(), delta=0.1, total_rounds=10)
         assert view.half_angle_sine(nxt.w) < view.half_angle_sine(w0)
 
@@ -122,8 +122,7 @@ class TestRefine:
     def test_reaches_accuracy_floor(self):
         oracle, w0, view = setup_problem(d=6, seed=2, angle=0.8)
         eps = 0.05
-        (outcome,), state = refine(oracle, w0, [1.0], eps, 0.1)
-        h = outcome.hypothesis
+        h, state = refine(oracle, w0, 1.0, eps, 0.1)
         sigma_final = min(0.5, eps * math.exp(0.5))
         assert state.sigma <= sigma_final + 1e-12
         assert view.half_angle_sine(h.w) <= state.sigma
@@ -131,73 +130,86 @@ class TestRefine:
 
     def test_zero_round_run_still_reports_offset(self):
         oracle, w0, _ = setup_problem(angle=0.3)
-        (outcome,), state = refine(oracle, w0, [1.0], 0.9, 0.1, sigma0=0.4)
+        h, state = refine(oracle, w0, 1.0, 0.9, 0.1, sigma0=0.4)
         assert state.round == 0
-        assert math.isfinite(outcome.hypothesis.t)
-        assert np.array_equal(outcome.hypothesis.w, w0)
+        assert math.isfinite(h.t)
+        assert np.array_equal(h.w, w0)
 
 
 class TestDescent:
-    """One descent serving a five-point grid around a clean d=10, t*=1 target."""
+    """One descent with the offset bracket [0, T_TOP] around a clean d=10, t*=1 target."""
 
-    GRID = [0.75, 0.875, 1.0, 1.125, 1.25]
+    T_TOP = 1.25
     EPS = 0.02
 
     def stop_scale(self, t, sigma0, cfg):
         return min(sigma0, cfg.c_stop * self.EPS * math.exp(t * t / 2.0))
 
-    def test_resolves_grid_in_decreasing_sigma(self, monkeypatch):
+    def test_stops_at_the_stop_scale_of_its_offset(self, monkeypatch):
         oracle, w0, view = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
         cfg = RefineConfig()
-        sigma0 = entry_scale(max(self.GRID))
-        # sigmas[k] is the scale after k rounds
-        sigmas_run = [sigma0]
+        sigma0 = entry_scale(self.T_TOP)
+        # (sigma, accepted offset) each round starts from
+        started = []
 
-        def spy(*args, **kwargs):
-            state = refine_round(*args, **kwargs)
-            sigmas_run.append(state.sigma)
-            return state
+        def spy(oracle, state, *args, **kwargs):
+            started.append((state.sigma, state.accepted_offset))
+            return refine_round(oracle, state, *args, **kwargs)
 
         monkeypatch.setattr(refinement, "refine_round", spy)
-        outcomes, state = refine(oracle, w0, self.GRID, self.EPS, 0.1, cfg)
-        assert [o.t_prime for o in outcomes] == sorted(self.GRID, reverse=True)
-        sigmas = [o.sigma for o in outcomes]
-        assert sigmas == sorted(sigmas, reverse=True)
-        for o in outcomes:
-            # resolved at the first round whose sigma is at or below the
-            # stop scale, which the descent lands on exactly, and no later
-            # than the fixed 1 - 1/c2 schedule would get there
-            sigma_j = self.stop_scale(o.t_prime, sigma0, cfg)
-            assert o.sigma == sigmas_run[o.round] == sigma_j
-            assert o.round == 0 or sigmas_run[o.round - 1] > sigma_j
-            assert o.round <= planned_rounds(sigma0, sigma_j, cfg.c2)
-            if o.t_prime >= 1.0:
-                assert o.hypothesis is not None, o.t_prime
-                assert view.half_angle_sine(o.hypothesis.w) <= o.sigma
-        min_sigma = min(self.stop_scale(t, sigma0, cfg) for t in self.GRID)
-        assert state.sigma == min_sigma
-        assert state.round == len(sigmas_run) - 1 <= planned_rounds(sigma0, min_sigma, cfg.c2)
+        h, state = refine(oracle, w0, self.T_TOP, self.EPS, 0.1, cfg)
+        # the descent lands exactly on the stop scale of its last accepted
+        # offset; every round, the last one included, started above the
+        # stop scale of the offset it started from
+        assert state.sigma == self.stop_scale(state.accepted_offset, sigma0, cfg)
+        assert started[-1][0] > state.sigma
+        assert all(sigma > self.stop_scale(t, sigma0, cfg) for sigma, t in started)
+        # no longer than the fixed 1 - 1/c2 schedule down to the smallest stop scale
+        assert 0 < state.round == len(started) <= planned_rounds(sigma0, cfg.c_stop * self.EPS, cfg.c2)
+        assert view.half_angle_sine(h.w) <= state.sigma
+
+    def test_bracket_above_the_target_finds_its_offset(self):
+        # the bracket [0, 1.6] reaches well past t* = 1: the accepted offset
+        # still tracks t*, and the final search puts t_hat within sigma of it
+        oracle, w0, view = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
+        h, state = refine(oracle, w0, 1.6, self.EPS, 0.1)
+        assert abs(h.t - 1.0) <= state.sigma
+        assert view.half_angle_sine(h.w) <= state.sigma
+        assert view.true_error(h) <= self.EPS
 
     def test_points_below_target_fail_alone(self):
+        # a bracket that stops short of t* ends the descent without a
+        # hypothesis; the same warm start with a bracket past t* learns
+        for t_top in (0.875, 0.75):
+            oracle, w0, _ = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
+            h, state = refine(oracle, w0, t_top, self.EPS, 0.1)
+            assert h is None
+            assert state.round > 0
         oracle, w0, view = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
-        outcomes, _ = refine(oracle, w0, self.GRID, self.EPS, 0.1)
-        failed = [o.t_prime for o in outcomes if o.hypothesis is None]
-        assert failed == [0.875, 0.75]
-        best = outcomes[0].hypothesis
-        assert view.true_error(best) <= self.EPS
+        h, _ = refine(oracle, w0, self.T_TOP, self.EPS, 0.1)
+        assert view.true_error(h) <= self.EPS
 
-    def test_ledger_cap_stops_before_a_round(self):
+    def test_ledger_cap_stops_before_a_round(self, monkeypatch):
         oracle, w0, _ = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
         cap = 50_000
         oracle.budget = cap
-        outcomes, state = refine(oracle, w0, self.GRID, self.EPS, 0.1)
+        searches = []
+        search = refinement.search_offset
+        monkeypatch.setattr(
+            refinement, "search_offset",
+            lambda *args, **kwargs: searches.append(oracle.ledger) or search(*args, **kwargs),
+        )
+        h, state = refine(oracle, w0, self.T_TOP, self.EPS, 0.1)
         # the oracle refused a batch mid-round: the descent returns the
-        # rounds it completed and charges nothing past the budget
+        # rounds it completed, charges nothing past the budget, and takes
+        # its last accepted offset as the hypothesis without a search
         assert oracle.spent
         assert state.round > 0
-        assert len(outcomes) < len(self.GRID)
         assert oracle.ledger <= cap
-
+        # the entry search, one per completed round and the interrupted round's
+        assert len(searches) == 1 + state.round + 1
+        expected = Halfspace(state.w, state.accepted_offset)
+        assert (h.w.tolist(), h.t) == (expected.w.tolist(), expected.t)
 
 class TestCertificate:
     """Each round's certified sigma against the true angle (WhiteBoxView)."""
@@ -218,7 +230,7 @@ class TestCertificate:
         oracle = MembershipOracle(self.SOURCES[kind](Halfspace(w_star, 1.0)), seed)
         # any start that meets the invariant sin(theta/2) <= sigma
         w0 = rotated_from(w_star, 2.0 * math.asin(self.SIGMA * rng.uniform(0.02, 0.6)), rng)
-        state = RefineState(w=w0, sigma=self.SIGMA, round=3, accepted_offset=math.nan, ledger_start=0)
+        state = RefineState(w=w0, sigma=self.SIGMA, round=3, accepted_offset=math.nan)
         nxt = refine_round(oracle, state, 1.25, RefineConfig(), 0.1, 100, epsilon=epsilon)
         return WhiteBoxView(oracle.source), w0, nxt
 
@@ -246,7 +258,7 @@ class TestCertificate:
 
     def test_never_below_the_floor(self):
         oracle, w0, _ = setup_problem(angle=0.01)
-        state = RefineState(w=w0, sigma=0.2, round=0, accepted_offset=math.nan, ledger_start=0)
+        state = RefineState(w=w0, sigma=0.2, round=0, accepted_offset=math.nan)
         free = refine_round(oracle, state, 1.0, RefineConfig(), 0.1, 10)
         assert free.sigma < 0.15
         oracle, w0, _ = setup_problem(angle=0.01)
@@ -270,10 +282,10 @@ class TestEntry:
         # warm start with sin(theta/2) = 0.65: no offset in [0, t_top] is
         # in-window, and the descent rejects its entry
         oracle, w0, view = setup_problem(d=5, t=2.5, angle=2.0 * math.asin(0.65), seed=11)
-        grid = [2.487, 2.725]
+        t_top = 2.725
         with pytest.raises(EntryRejected):
-            refine(oracle, w0, grid, 0.001, 0.1, RefineConfig(c_stop=10.0, grad_samples_multiplier=10.0),
-                   sigma0=entry_scale(max(grid)))
+            refine(oracle, w0, t_top, 0.001, 0.1, RefineConfig(c_stop=10.0, grad_samples_multiplier=10.0),
+                   sigma0=entry_scale(t_top))
 
     def test_lower_bound_rejects_an_entry_scale_too_small(self):
         # the offset search succeeds, but the Chow estimate bounds the
@@ -281,11 +293,11 @@ class TestEntry:
         # the bound leaves next to no room for flipped labels
         oracle, w0, view = setup_problem(d=8, t=1.0, angle=2.0 * math.asin(0.45), seed=3)
         with pytest.raises(EntryRejected, match="first round bounds"):
-            refine(oracle, w0, [1.0], 1e-4, 0.1, sigma0=0.1)
+            refine(oracle, w0, 1.0, 1e-4, 0.1, sigma0=0.1)
 
     def test_good_entry_is_kept(self):
         oracle, w0, view = setup_problem(d=8, t=1.0, angle=2.0 * math.asin(0.2), seed=3)
-        (outcome,), state = refine(oracle, w0, [1.0], 0.05, 0.1, sigma0=0.5)
+        h, state = refine(oracle, w0, 1.0, 0.05, 0.1, sigma0=0.5)
         assert state.round > 0
         assert state.angle_floor <= state.sigma
-        assert outcome.hypothesis is not None
+        assert h is not None
