@@ -6,10 +6,10 @@ constant +1 hypothesis when p is already epsilon-small), invert the
 bias bracket into a threshold interval, grid it, then per restart
 warm-start at the top grid point (falling back down the grid) and run
 one localized descent whose offset bracket reaches the top grid point,
-which yields at most one candidate, and finally pick a winner from the
-candidate pool: candidates within epsilon / MERGE_FACTOR exact
-disagreement mass of an earlier one are merged into it, and the
-remaining leaders are put to a pairwise disagreement vote.
+which yields at most one candidate.  A candidate within epsilon /
+MERGE_FACTOR exact disagreement mass of an earlier leader joins it and
+ends the restarts; any other becomes a leader.  The leaders are put to
+a pairwise disagreement vote.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ _CONSTANT_T = 40.0
 # fewest disagreement points a tournament pair needs to be voted on
 MIN_DISAGREEMENT = 10
 # a candidate within epsilon / MERGE_FACTOR exact disagreement mass of a
-# leader is merged into it before the vote
+# leader joins it, and the restarts stop
 MERGE_FACTOR = 16
 # held-out draws behind the reported error estimate
 EVAL_SAMPLES = 100_000
@@ -62,8 +62,9 @@ def constant_plus_one_hypothesis(dim: int) -> Halfspace:
 class LearnerConfig:
     epsilon: float
     delta: float = 0.1
-    # restarts, each one warm start and one descent; None =
-    # ln^2(1/eps) ln(1/delta), capped
+    # cap on the restarts, each one warm start and one descent; the
+    # restarts stop earlier once two candidates agree.  None =
+    # ln^2(1/eps) ln(1/delta), capped at 40
     restarts_per_gridpoint: int | None = None
     grid_step: float | None = None
     refine: RefineConfig = field(default_factory=RefineConfig)
@@ -107,6 +108,8 @@ class RunReport:
     attempts: int = 0
     init_failures: int = 0
     offset_failures: int = 0
+    # restarts begun, at most cfg.restarts()
+    restarts_run: int = 0
 
 
 def _inverse_mills(t: float) -> float:
@@ -191,12 +194,14 @@ def tournament(
 ) -> Halfspace:
     """Pick a candidate that loses no pairwise disagreement vote.
 
-    A pure vote over the given pool: ``learn`` passes the leaders of
-    ``merge_candidates``, so near-duplicate candidates cost no pairs.
-    For each pair, up to m_pair points where the two hypotheses disagree
-    are drawn by ``sample_disagreement`` (rejection in their 2-D span,
-    capped at attempt_cap proposals) and label-queried; a pair with
-    fewer than MIN_DISAGREEMENT such points is skipped.  A
+    A pure vote over the given pool: ``learn`` passes its leaders, so
+    near-duplicate candidates cost no pairs.  For each pair, up to
+    m_pair points where the two hypotheses disagree are drawn by
+    ``sample_disagreement`` (rejection in their 2-D span, capped at
+    attempt_cap proposals) and label-queried; a pair with fewer than
+    MIN_DISAGREEMENT such points is skipped, and so, without drawing a
+    proposal, is a pair whose exact disagreement mass expects fewer
+    than MIN_DISAGREEMENT hits in attempt_cap proposals.  A
     candidate that is wrong on clearly more than half of the points
     takes a loss.  The returned candidate has the fewest losses (first
     on ties); when the oracle refuses a query (BudgetExceeded), the
@@ -217,6 +222,8 @@ def tournament(
     try:
         for i in range(k):
             for j in range(i + 1, k):
+                if disagreement_mass(candidates[i], candidates[j]) * attempt_cap < MIN_DISAGREEMENT:
+                    continue
                 pts = sample_disagreement(candidates[i], candidates[j], oracle, m_pair, attempt_cap)
                 if pts is None:
                     continue
@@ -233,20 +240,17 @@ def tournament(
     return candidates[int(np.argmin(losses))]
 
 
-def merge_candidates(candidates: list[Halfspace], epsilon: float) -> list[Halfspace]:
-    """The leaders of one greedy pass in candidate order.
+def join_leaders(leaders: list[Halfspace], c: Halfspace, epsilon: float) -> bool:
+    """Whether c joins a leader: its exact disagreement mass to one is at
+    most epsilon / MERGE_FACTOR.  Otherwise c is appended as a leader.
 
-    A candidate whose exact disagreement mass to an existing leader is at
-    most epsilon / MERGE_FACTOR joins it; otherwise it becomes a leader.
-    Any merged candidate is that close to a leader, so voting on the
+    Any joined candidate is that close to a leader, so voting on the
     leaders alone loses at most epsilon / MERGE_FACTOR against a full vote.
     """
-    radius = epsilon / MERGE_FACTOR
-    leaders: list[Halfspace] = []
-    for c in candidates:
-        if all(disagreement_mass(c, h) > radius for h in leaders):
-            leaders.append(c)
-    return leaders
+    if any(disagreement_mass(c, h) <= epsilon / MERGE_FACTOR for h in leaders):
+        return True
+    leaders.append(c)
+    return False
 
 
 def medoid(candidates: list[Halfspace]) -> Halfspace:
@@ -258,7 +262,7 @@ def medoid(candidates: list[Halfspace]) -> Halfspace:
 # RunReport's counters, which ``learn`` fills
 _COUNTERS = (
     "queries_bias", "queries_init", "queries_refine", "queries_tournament",
-    "small_class_draws", "rounds", "attempts", "init_failures", "offset_failures",
+    "small_class_draws", "rounds", "attempts", "init_failures", "offset_failures", "restarts_run",
 )
 
 
@@ -280,10 +284,12 @@ def learn(
     -1 and un-flips its hypotheses; learn sets the sign back to +1 before
     it returns or raises.  The verdict is ``budget`` whenever the oracle
     is spent: the stage that met a refused query stops, and the run ends
-    with what it has.  The winner comes from a tournament over the merged
-    candidates, or, when the oracle is spent before the vote, is their
-    medoid by exact disagreement mass, picked without queries.
-    ``RunReport.candidates`` lists every candidate, merged or not.
+    with what it has.  The restarts stop at the first candidate that
+    joins a leader (``join_leaders``), or at the cap ``cfg.restarts()``.
+    The winner comes from a tournament over the leaders, or, when the
+    oracle is spent before the vote, is the candidates' medoid by exact
+    disagreement mass, picked without queries.  ``RunReport.candidates``
+    lists every candidate, joined or not.
     """
     try:
         return _learn(oracle, cfg, small_class)
@@ -346,8 +352,10 @@ def _learn(oracle: MembershipOracle, cfg: LearnerConfig, small_class: SmallClass
         return init_unextreme(oracle, t, cfg.epsilon, cfg.delta, sc)
 
     candidates: list[Halfspace] = []
+    leaders: list[Halfspace] = []
     try:
         for _ in range(cfg.restarts()):
+            n["restarts_run"] += 1
             # warm-start at the top grid point, falling back down the grid
             # when the start fails or the descent rejects it at entry
             descent = None
@@ -376,14 +384,16 @@ def _learn(oracle: MembershipOracle, cfg: LearnerConfig, small_class: SmallClass
                 continue
             h, state = descent
             n["rounds"] += state.round
-            if h is not None:
-                candidates.append(h)
-            elif oracle.spent:
+            if h is None and oracle.spent:
                 # stopped by the budget before it accepted an offset
                 break
-            else:
-                n["offset_failures"] += 1
             n["attempts"] += 1
+            if h is None:
+                n["offset_failures"] += 1
+                continue
+            candidates.append(h)
+            if join_leaders(leaders, h, cfg.epsilon):
+                break
     except BudgetExceeded:
         pass
 
@@ -396,6 +406,6 @@ def _learn(oracle: MembershipOracle, cfg: LearnerConfig, small_class: SmallClass
         # a spent oracle refuses every vote: pick without queries
         winner = medoid(candidates)
     else:
-        winner = tournament(merge_candidates(candidates, cfg.epsilon), oracle, cfg.epsilon, cfg.delta)
+        winner = tournament(leaders, oracle, cfg.epsilon, cfg.delta)
     n["queries_tournament"] = oracle.ledger - mark
     return finish(winner, "learned", list(candidates))

@@ -9,8 +9,9 @@ upper bound on sin(theta/2) to the target direction.  Each round
 certifies how far it may fall from the ratio of the Chow estimate's
 components across and along w, which it already pays for; a round whose
 certificate is too weak contracts by the fixed factor 1 - 1/c2.  A
-descent stops at the scale its own accepted offset calls for, and one
-last offset search at that scale gives its hypothesis.
+descent stops at the scale its own accepted offset calls for.  Its
+hypothesis takes the offset read off the negative share of its last
+round's Chow labels, a closed-form estimate of t* that costs no query.
 """
 
 from __future__ import annotations
@@ -116,6 +117,12 @@ class RefineState:
     # lower confidence bound on sin(theta/2) of the direction the last
     # round started from (0 before any round)
     angle_floor: float = 0.0
+    # negative share of the last round's Chow labels (nan before any round)
+    neg_rate: float = math.nan
+    # the offset a hypothesis from this state takes: the last round's
+    # closed-form estimate of t*, or the entry search's offset before any
+    # round (nan before the entry search)
+    t_cf: float = math.nan
 
 
 def planned_rounds(sigma0: float, sigma_final: float, c2: float) -> int:
@@ -265,15 +272,25 @@ def refine_round(
     ``angle_floor``, a lower confidence bound on sin(theta/2) of the
     direction the round started from.  The offset search starts from
     the last accepted offset.
+
+    The same labels give the offset estimate.  For margin-law labels
+    the localized negative rate is Phi((t~ cos theta - t*) /
+    sqrt(sigma^2 cos^2 theta + sin^2 theta)), which is Phi((t~ - t*) /
+    sigma) once theta << sigma, so with p^ the labels' negative share,
+    ``t_cf`` = t~ - sigma ndtri(p^), clamped to [0, t'], estimates t*.
     """
     sigma = state.sigma
     t_tilde = search_offset(oracle, state.w, sigma, t_prime, delta, start=state.accepted_offset)
     m = gradient_sample_size(state.w.shape[0], total_rounds, cfg, delta)
     Z = oracle.gaussian_points(m)
-    g = empirical_projected_chow(
-        lambda pts: localized_query_batch(oracle, state.w, t_tilde, sigma, pts),
-        Z,
-    )
+    labels = []
+
+    def query(pts: np.ndarray) -> np.ndarray:
+        labels.append(localized_query_batch(oracle, state.w, t_tilde, sigma, pts))
+        return labels[-1]
+
+    g = empirical_projected_chow(query, Z)
+    neg_rate = float(np.mean(np.concatenate(labels) == -1))
     g_v = float(g @ state.w)
     g_perp = g - g_v * state.w
     norm_perp = float(np.linalg.norm(g_perp))
@@ -295,6 +312,8 @@ def refine_round(
         round=state.round + 1,
         accepted_offset=t_tilde,
         angle_floor=math.sin(0.5 * math.atan(tan_lo)),
+        neg_rate=neg_rate,
+        t_cf=min(max(t_tilde - sigma * float(ndtri(neg_rate)), 0.0), t_prime),
     )
 
 
@@ -323,18 +342,20 @@ def refine(
     t_top >= t*, so the bracket does the threshold grid's work.  The
     planned rounds of the fixed 1 - 1/c2 schedule down to the smallest
     stop scale, sigma_stop(0), size each round's samples and cap the
-    descent's length.  A strict ``search_offset`` at the final (w,
-    sigma), starting from t~, gives the hypothesis, or None without an
-    in-window verdict.
+    descent's length.  The hypothesis is Halfspace(w, t_cf) of the last
+    round, whose offset is read off that round's Chow labels without a
+    further query, or None when their negative share p^ lies outside
+    BIAS_WINDOW (t_cf is then no estimate of t*).  A descent that runs
+    no round takes its entry search's offset.
 
-    A descent that runs rounds rejects its warm start (EntryRejected)
-    when no offset in [0, t_top] gets an in-window verdict at sigma0, or
-    when its first round's lower confidence bound on sin(theta/2)
-    exceeds sigma0.  A round whose own offset search fails ends the
-    descent with None.  The oracle refusing a query (BudgetExceeded)
-    also ends it: it returns the state after its last complete round
-    and, once an offset has been accepted, Halfspace(w, t~) of that
-    state without a further query.
+    Every descent starts with a strict ``search_offset`` at (w0,
+    sigma0), and rejects its warm start (EntryRejected) when no offset
+    in [0, t_top] gets an in-window verdict there, or when its first
+    round's lower confidence bound on sin(theta/2) exceeds sigma0.  A
+    round whose own offset search fails ends the descent with None.  The
+    oracle refusing a query (BudgetExceeded) also ends it: it returns
+    the state after its last complete round and, once the entry search
+    has accepted an offset, Halfspace(w, t_cf) of that state.
     """
     cfg = cfg or RefineConfig()
     if sigma0 is None:
@@ -346,25 +367,25 @@ def refine(
     total = planned_rounds(sigma0, stop_scale(0.0), cfg.c2)
     state = RefineState(w=np.asarray(w0, dtype=float), sigma=sigma0, round=0, accepted_offset=math.nan)
     try:
-        if total > 0:
-            # entry: the warm start must put the localized rate in the
-            # bias window at sigma0; the first round's search starts there
-            try:
-                t_entry = search_offset(oracle, state.w, sigma0, t_top, delta, strict=True)
-            except OffsetNotFound as exc:
-                raise EntryRejected(f"entry: {exc}") from exc
-            state = replace(state, accepted_offset=t_entry)
+        # entry: the warm start must put the localized rate in the bias
+        # window at sigma0; the first round's search starts there
+        try:
+            t_entry = search_offset(oracle, state.w, sigma0, t_top, delta, strict=True)
+        except OffsetNotFound as exc:
+            raise EntryRejected(f"entry: {exc}") from exc
+        state = replace(state, accepted_offset=t_entry, t_cf=t_entry)
         while state.round < total and state.sigma > (floor := stop_scale(state.accepted_offset)):
             state = refine_round(oracle, state, t_top, cfg, delta, total, epsilon=epsilon, floor=floor)
             if state.round == 1 and state.angle_floor > sigma0:
                 raise EntryRejected(
                     f"first round bounds sin(theta/2) >= {state.angle_floor:.3g} > sigma0 {sigma0:.3g}"
                 )
-        t_hat = search_offset(oracle, state.w, state.sigma, t_top, delta, strict=True, start=state.accepted_offset)
-        return Halfspace(state.w, t_hat), state
+        if state.round > 0 and not BIAS_WINDOW[0] < state.neg_rate < BIAS_WINDOW[1]:
+            return None, state
     except OffsetNotFound:
         return None, state
     except BudgetExceeded:
-        if math.isnan(state.accepted_offset):
-            return None, state
-        return Halfspace(state.w, state.accepted_offset), state
+        pass
+    if math.isnan(state.t_cf):
+        return None, state
+    return Halfspace(state.w, state.t_cf), state

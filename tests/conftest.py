@@ -26,3 +26,20 @@ def rotated_from(w: np.ndarray, angle: float, rng: np.random.Generator) -> np.nd
     r /= np.linalg.norm(r)
     v = np.cos(angle) * w + np.sin(angle) * r
     return v / np.linalg.norm(v)
+
+
+def spread_offsets(refine, shifts):
+    """refine, but the k-th candidate's offset is moved by shifts[k]
+    (candidates past the last shift are kept): descents that would agree
+    yield candidates far enough apart that the restarts run on and vote."""
+    yielded = []
+
+    def wrapped(*args, **kwargs):
+        h, state = refine(*args, **kwargs)
+        if h is not None:
+            if len(yielded) < len(shifts):
+                h = Halfspace(h.w, h.t + shifts[len(yielded)])
+            yielded.append(h)
+        return h, state
+
+    return wrapped

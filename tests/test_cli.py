@@ -19,6 +19,8 @@ from halfspace_lab.cli import (
 from halfspace_lab.geometry import Halfspace, threshold_for_bias
 from halfspace_lab.oracles import BoundaryBand, CleanLabels, RandomFlip
 
+from conftest import spread_offsets
+
 import numpy as np
 
 FAST_LEARN = [
@@ -186,7 +188,7 @@ class TestMainModes:
         ]) == 0
         header, rows = read_csv(out)
         row = dict(zip(header, rows[0]))
-        assert (row["verdict"], row["total_queries"], row["err_estimate"]) == ("learned", "401832", "0.00323")
+        assert (row["verdict"], row["total_queries"], row["err_estimate"]) == ("learned", "401582", "0.00032")
 
     def test_selftest_mode(self, capsys):
         assert main(["--mode", "selftest"]) == 0
@@ -291,13 +293,16 @@ class TestMainModes:
         assert int(row["total_queries"]) <= 100_000
         assert int(row["rounds"]) > 0
 
-    def test_budget_spent_in_tournament_exits_2(self, tmp_path):
-        # three restarts reach the tournament at ledger 575,382; the vote over
-        # their three merged leaders (260 queries a pair) would end at 576,162
+    def test_budget_spent_in_tournament_exits_2(self, tmp_path, monkeypatch):
+        # three restarts, whose candidates' offsets are spread 0.1 apart so
+        # that none joins another, reach the tournament at ledger 573,346;
+        # the vote over their three leaders (260 queries a pair) would end
+        # at 574,126
+        monkeypatch.setattr(learner, "refine", spread_offsets(learner.refine, (0.0, 0.1, 0.2)))
         out = tmp_path / "budget.csv"
         code = main([
             "--mode", "learn", "--dim", "10", "--tstar", "1.0", "--epsilon", "0.02",
-            "--seed", "4", "--budget", "575700", "--set", "restarts_per_gridpoint=3",
+            "--seed", "4", "--budget", "573700", "--set", "restarts_per_gridpoint=3",
             "--out", str(out),
         ])
         assert code == 2
@@ -305,20 +310,26 @@ class TestMainModes:
         row = dict(zip(header, rows[0]))
         assert row["verdict"] == "budget"
         assert int(row["queries_tournament"]) > 0
-        assert int(row["total_queries"]) <= 575_700
+        assert int(row["total_queries"]) <= 573_700
 
     def test_spent_oracle_skips_the_tournament(self, tmp_path, monkeypatch):
-        # the budget runs out in refine: no vote can be taken, so the medoid
-        # of the candidates by exact disagreement mass wins without sampling
-        # a single disagreement point.  At t* = -1 the learner flips the
-        # labels on the oracle it also asks whether it is spent
-        calls = []
-        sample = learner.sample_disagreement
+        # the budget runs out in the second restart's descent, whose
+        # candidate takes the closed-form offset of its last complete round:
+        # no vote can be taken, so the medoid of the candidates by exact
+        # disagreement mass wins without sampling a single disagreement
+        # point.  At t* = -1 the learner flips the labels on the oracle it
+        # also asks whether it is spent
+        calls, descents = [], []
+        sample, refine = learner.sample_disagreement, learner.refine
         monkeypatch.setattr(
             learner, "sample_disagreement", lambda *args: calls.append(args) or sample(*args)
         )
+        monkeypatch.setattr(
+            learner, "refine", lambda *args, **kwargs: descents.append(refine(*args, **kwargs)) or descents[-1]
+        )
         out = tmp_path / "budget.csv"
-        for tstar, err, total in [("1.0", "0.00075", "329118"), ("-1.0", "0.00374", "327618")]:
+        for tstar, err, total in [("1.0", "0.00038", "328868"), ("-1.0", "0.00027", "327368")]:
+            descents.clear()
             code = main([
                 "--mode", "learn", "--dim", "10", "--tstar", tstar, "--epsilon", "0.02",
                 "--seed", "0", "--budget", "330000", "--set", "restarts_per_gridpoint=2",
@@ -326,6 +337,9 @@ class TestMainModes:
             ])
             assert code == 2
             assert calls == []
+            h, state = descents[-1]
+            assert state.round > 0
+            assert h.t == state.t_cf != state.accepted_offset
             header, rows = read_csv(out)
             row = dict(zip(header, rows[0]))
             assert (row["verdict"], row["err_estimate"], row["total_queries"]) == ("budget", err, total)

@@ -14,9 +14,9 @@ from halfspace_lab.learner import (
     LearnerConfig,
     RefineConfig,
     constant_plus_one_hypothesis,
+    join_leaders,
     learn,
     medoid,
-    merge_candidates,
     sample_disagreement,
     tournament,
 )
@@ -31,7 +31,7 @@ from halfspace_lab.oracles import (
 from halfspace_lab.refinement import EntryRejected, refine_round
 from halfspace_lab.rng import substream
 
-from conftest import rotated_from, unit_vector
+from conftest import rotated_from, spread_offsets, unit_vector
 
 
 def make_oracle(t=1.0, d=6, seed=0, budget=None):
@@ -171,8 +171,10 @@ class TestMerge:
     ])
     def test_leaders_keep_candidate_order(self, order, leaders):
         pool = self.pool()
-        merged = merge_candidates([pool[name] for name in order.split()], self.EPS)
+        merged = []
+        joined = [join_leaders(merged, pool[name], self.EPS) for name in order.split()]
         assert [id(h) for h in merged] == [id(pool[name]) for name in leaders.split()]
+        assert joined == [name not in leaders.split() for name in order.split()]
 
     def test_medoid_is_the_central_candidate(self):
         pool = self.pool()
@@ -180,16 +182,22 @@ class TestMerge:
         assert medoid([pool[name] for name in "far c a d a_dup".split()]) is pool["a"]
 
     def test_vote_sees_only_leaders(self, monkeypatch):
+        # the first three candidates' offsets are spread 0.1 apart, about 18
+        # radii; the fourth, as it came out of its descent, joins the first
         sampled, voted = [], []
         sample, vote = learner.sample_disagreement, learner.tournament
         monkeypatch.setattr(
             learner, "sample_disagreement", lambda h1, h2, *a: sampled.append((h1, h2)) or sample(h1, h2, *a)
         )
         monkeypatch.setattr(learner, "tournament", lambda cands, *a: voted.append(cands) or vote(cands, *a))
-        report = learn(make_oracle(t=1.0, d=10, seed=0), LearnerConfig(self.EPS, restarts_per_gridpoint=4))
+        monkeypatch.setattr(learner, "refine", spread_offsets(learner.refine, (0.0, 0.1, 0.2)))
+        report = learn(make_oracle(t=1.0, d=10, seed=0), LearnerConfig(self.EPS, restarts_per_gridpoint=5))
         cands = report.candidates
         [leaders] = voted
-        assert 1 < len(leaders) < len(cands)
+        # the restarts stopped at the first candidate that joined a leader
+        assert report.restarts_run == len(cands) == 4
+        assert len(leaders) == 3
+        assert disagreement_mass(cands[-1], leaders[0]) <= self.RADIUS
         # every candidate sits within the radius of a leader, and the
         # leaders are a subsequence of the candidates
         assert all(any(disagreement_mass(c, h) <= self.RADIUS for h in leaders) for c in cands)
@@ -274,8 +282,70 @@ class TestSampleDisagreement:
         assert oracle.ledger > 0
         assert oracle.full_rows == oracle.ledger
 
+    def test_hopeless_pair_draws_no_row(self):
+        # a and b disagree on mass ~4e-6: times the attempt cap (88,000 for
+        # two candidates at eps = 0.05) it expects under MIN_DISAGREEMENT
+        # hits, so the pair is skipped before a single proposal is drawn
+        rows = []
+
+        class RowCounting(MembershipOracle):
+            def gaussian_points(self, n, dim=None):
+                rows.append(n)
+                return super().gaussian_points(n, dim)
+
+        w = np.eye(self.D)[0]
+        a, b, far = Halfspace(w, 0.0), Halfspace(w, 1e-5), Halfspace(np.eye(self.D)[1], 0.0)
+        oracle = RowCounting(CleanLabels(a), seed=3)
+        assert tournament([a, b], oracle, 0.05, 0.1) is a
+        assert rows == [] and oracle.ledger == 0
+        # with a third candidate, only the pairs that can be voted on are sampled
+        sampled = []
+        sample = learner.sample_disagreement
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learner, "sample_disagreement", lambda h1, h2, *r: sampled.append((h1, h2)) or sample(h1, h2, *r))
+            tournament([a, b, far], oracle, 0.05, 0.1)
+        assert [(id(h1), id(h2)) for h1, h2 in sampled] == [(id(a), id(far)), (id(b), id(far))]
+
 
 class TestLearn:
+    def test_readme_example_stops_on_agreement(self):
+        # the README's example (default restarts, a cap of 36 at eps = 0.02):
+        # the second candidate joins the first, the restarts stop there, and
+        # the one leader wins without a vote.  A change to the restart count
+        # or to what the learner queries shows up here as a plain diff
+        w = np.eye(20)[0]
+        report = learn(MembershipOracle(CleanLabels(Halfspace(w, 1.0)), seed=7), LearnerConfig(epsilon=0.02))
+        assert (report.total_queries, report.restarts_run, report.err_estimate) == (686_974, 2, 0.00047)
+        assert len(report.candidates) == 2
+        assert report.queries_tournament == 0
+        assert report.attempts == (
+            len(report.candidates) + report.init_failures + report.offset_failures
+        )
+
+    def test_disagreeing_candidates_run_to_the_cap_and_vote(self, monkeypatch):
+        voted = []
+        vote = learner.tournament
+        monkeypatch.setattr(learner, "tournament", lambda cands, *a: voted.append(cands) or vote(cands, *a))
+        monkeypatch.setattr(learner, "refine", spread_offsets(learner.refine, (0.0, 0.1, 0.2)))
+        report = learn(make_oracle(t=1.0, d=10, seed=0), LearnerConfig(epsilon=0.02, restarts_per_gridpoint=3))
+        assert report.restarts_run == len(report.candidates) == 3
+        [leaders] = voted
+        assert [id(h) for h in leaders] == [id(c) for c in report.candidates]
+        # three pairs, 260 queries each
+        assert report.queries_tournament == 780
+
+    def test_last_round_out_of_window_is_an_offset_failure(self, monkeypatch):
+        # every round's Chow labels come out 80% negative: t_cf is then no
+        # estimate of t*, so the descent yields no candidate
+        monkeypatch.setattr(
+            refinement, "refine_round",
+            lambda *args, **kwargs: dataclasses.replace(refine_round(*args, **kwargs), neg_rate=0.8),
+        )
+        report = learn(make_oracle(t=1.0, d=6, seed=11), FAST)
+        assert report.rounds > 0
+        assert (report.attempts, report.offset_failures, report.init_failures) == (1, 1, 0)
+        assert report.verdict == "constant_plus_one"
+
     def test_clean_moderate_threshold(self):
         oracle = make_oracle(t=1.0, d=6, seed=11)
         report = learn(oracle, FAST)
@@ -420,17 +490,21 @@ class TestLearn:
         h = 0.002582957096328608
         source = RegionFlip(target, lambda X: (np.abs(target.margins(X)) <= h) & (X @ v > 0), eps / 32)
         view = WhiteBoxView(source)
-        covered = []
+        covered, states = [], []
 
         def spy(*args, **kwargs):
             state = refine_round(*args, **kwargs)
             covered.append(view.half_angle_sine(state.w) <= state.sigma)
+            states.append(state)
             return state
 
         monkeypatch.setattr(refinement, "refine_round", spy)
         report = learn(MembershipOracle(source, 1), LearnerConfig(epsilon=eps, restarts_per_gridpoint=1))
         assert report.verdict == "learned"
         assert len(covered) == report.rounds > 0 and all(covered)
+        # the offset is the last round's closed form, read off labels that
+        # the flipped region reaches too
+        assert report.hypothesis.t == states[-1].t_cf
         assert disagreement_mass(report.hypothesis, target) <= eps
 
     def test_tiny_bias_returns_constant(self):
@@ -468,16 +542,18 @@ class TestLearn:
 
     # the unbudgeted learn at d=10, t=1, seed 0 spends 67,428 queries on
     # the probe and bias ladder, then 2,604 per warm start; with three
-    # restarts it reaches the tournament at ledger 601,098, and the vote
-    # over its three merged leaders (260 queries a pair) ends at 601,878
+    # restarts whose candidates' offsets are spread 0.1 apart, so that
+    # none joins another, it reaches the tournament at ledger 595,312, and
+    # the vote over its three leaders (260 queries a pair) ends at 596,092
     @pytest.mark.parametrize("budget,restarts,stage", [
         (150, 1, "probe"),
         (20_000, 1, "bias"),
         (68_500, 1, "init"),
         (100_000, 1, "refine"),
-        (601_500, 3, "tournament"),
+        (595_600, 3, "tournament"),
     ])
-    def test_budget_is_a_hard_ceiling(self, budget, restarts, stage):
+    def test_budget_is_a_hard_ceiling(self, budget, restarts, stage, monkeypatch):
+        monkeypatch.setattr(learner, "refine", spread_offsets(learner.refine, (0.0, 0.1, 0.2)))
         oracle = make_oracle(t=1.0, d=10, seed=0, budget=budget)
         cfg = LearnerConfig(epsilon=0.02, restarts_per_gridpoint=restarts)
         report = learn(oracle, cfg)
@@ -501,8 +577,9 @@ class TestLearn:
 
     def test_budget_stop_in_a_descent_keeps_its_offset(self, monkeypatch):
         # the budget runs out in the second restart's descent, after some
-        # rounds: that descent's last state is a candidate, taken without a
-        # further query, and it is no offset failure
+        # rounds: that descent's last state, with its last complete round's
+        # closed-form offset, is a candidate taken without a further query,
+        # and it is no offset failure
         states = []
 
         def spy(*args, **kwargs):
@@ -518,8 +595,9 @@ class TestLearn:
         assert len(states) == len(report.candidates) == 2
         last = report.candidates[-1]
         assert states[-1].round > 0
-        expected = Halfspace(states[-1].w, states[-1].accepted_offset)
+        expected = Halfspace(states[-1].w, states[-1].t_cf)
         assert (last.w.tolist(), last.t) == (expected.w.tolist(), expected.t)
+        assert states[-1].t_cf != states[-1].accepted_offset
         assert report.rounds == sum(s.round for s in states)
         assert report.offset_failures == 0
         assert report.attempts == 2 + report.init_failures

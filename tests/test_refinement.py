@@ -129,11 +129,25 @@ class TestRefine:
         assert view.true_error(h) <= 5 * eps
 
     def test_zero_round_run_still_reports_offset(self):
+        # the entry search's offset, with no further query
         oracle, w0, _ = setup_problem(angle=0.3)
         h, state = refine(oracle, w0, 1.0, 0.9, 0.1, sigma0=0.4)
         assert state.round == 0
         assert math.isfinite(h.t)
+        assert h.t == state.accepted_offset == state.t_cf
         assert np.array_equal(h.w, w0)
+
+    @pytest.mark.parametrize("t_star,t_top,clamped", [(1.0, 0.7, 0.7), (-0.3, 1.0, 0.0)])
+    def test_closed_form_offset_is_clamped(self, t_star, t_top, clamped):
+        # under rcn flips the lenient search settles at a collapsed bracket
+        # end whose rate is near the flip rate (or one minus it), and the
+        # closed form points past that end of [0, t_top]
+        target = Halfspace(np.eye(8)[0], t_star)
+        oracle = MembershipOracle(RandomFlip(target, 0.05), 0)
+        state = RefineState(w=target.w, sigma=0.05, round=0, accepted_offset=math.nan)
+        nxt = refine_round(oracle, state, t_top, RefineConfig(), 0.1, 10)
+        assert min(nxt.neg_rate, 1.0 - nxt.neg_rate) < 0.1
+        assert nxt.t_cf == clamped
 
 
 class TestDescent:
@@ -202,14 +216,16 @@ class TestDescent:
         h, state = refine(oracle, w0, self.T_TOP, self.EPS, 0.1)
         # the oracle refused a batch mid-round: the descent returns the
         # rounds it completed, charges nothing past the budget, and takes
-        # its last accepted offset as the hypothesis without a search
+        # its last complete round's closed-form offset, not the bisection
+        # midpoint that round accepted, as the hypothesis without a search
         assert oracle.spent
         assert state.round > 0
         assert oracle.ledger <= cap
         # the entry search, one per completed round and the interrupted round's
         assert len(searches) == 1 + state.round + 1
-        expected = Halfspace(state.w, state.accepted_offset)
+        expected = Halfspace(state.w, state.t_cf)
         assert (h.w.tolist(), h.t) == (expected.w.tolist(), expected.t)
+        assert state.t_cf != state.accepted_offset
 
 class TestCertificate:
     """Each round's certified sigma against the true angle (WhiteBoxView)."""
