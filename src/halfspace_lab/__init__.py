@@ -31,7 +31,7 @@ from .estimation import (
     estimate_bias_doubling,
     probability_window_check,
 )
-from .initialization import angle_test, init_extreme, init_unextreme
+from .initialization import angle_test, init_unextreme
 from .refinement import RefineConfig, refine, refine_round, search_offset
 from .learner import LearnerConfig, RunReport, learn, tournament
 from .lowerbound import (

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import erfcx, ndtr
 
+import halfspace_lab.initialization as initialization
 import halfspace_lab.learner as learner
 import halfspace_lab.refinement as refinement
 from halfspace_lab.geometry import Halfspace, disagreement_mass
@@ -48,6 +49,11 @@ def stage_sum(report):
 
 
 FAST = LearnerConfig(epsilon=0.02, delta=0.1, restarts_per_gridpoint=1)
+# learn-smallclass's large-threshold setting (t* = 2.5, d = 5)
+SMALLCLASS = LearnerConfig(
+    epsilon=0.001, restarts_per_gridpoint=1, grid_step=1.0,
+    refine=RefineConfig(c_stop=10.0, grad_samples_multiplier=10.0),
+)
 
 
 def failing_first(init, tried):
@@ -355,8 +361,7 @@ class TestLearn:
 
     def test_stage_counts_sum_to_ledger(self, monkeypatch):
         # the first warm start fails, so this learn has a failed attempt
-        for name in ("init_extreme", "init_unextreme"):
-            monkeypatch.setattr(learner, name, failing_first(getattr(learner, name), []))
+        monkeypatch.setattr(learner, "init_unextreme", failing_first(learner.init_unextreme, []))
         oracle = make_oracle(t=1.0, d=5, seed=3)
         report = learn(oracle, FAST)
         assert stage_sum(report) == report.total_queries == oracle.ledger
@@ -378,8 +383,7 @@ class TestLearn:
                 return refine(*args, **kwargs)
             return wrapped
 
-        for name in ("init_extreme", "init_unextreme"):
-            monkeypatch.setattr(learner, name, failing_first(getattr(learner, name), tried))
+        monkeypatch.setattr(learner, "init_unextreme", failing_first(learner.init_unextreme, tried))
         monkeypatch.setattr(learner, "refine", spy(learner.refine))
         report = learn(make_oracle(t=1.0, d=5, seed=3), FAST)
         assert len(tried) == 2 and tried[0] > tried[1]
@@ -418,15 +422,9 @@ class TestLearn:
                 return out
             return wrapped
 
-        for name in ("init_extreme", "init_unextreme"):
-            monkeypatch.setattr(learner, name, bad_first(getattr(learner, name)))
+        monkeypatch.setattr(learner, "init_unextreme", bad_first(learner.init_unextreme))
         monkeypatch.setattr(learner, "refine", spy(learner.refine))
-        # learn-smallclass's extreme-threshold setting
-        cfg = LearnerConfig(
-            epsilon=0.001, restarts_per_gridpoint=1, grid_step=1.0,
-            refine=RefineConfig(c_stop=10.0, grad_samples_multiplier=10.0),
-        )
-        report = learn(make_oracle(t=2.5, d=5, seed=3), cfg)
+        report = learn(make_oracle(t=2.5, d=5, seed=3), SMALLCLASS)
         assert descents == ["rejected", "ran"]
         assert len(tried) == 2 and tried[0] > tried[1]
         assert report.init_failures == 1
@@ -615,6 +613,34 @@ class TestLearn:
         assert aided.small_class_draws > 0
         assert aided.queries_bias < base.queries_bias / 10
         assert aided.err_estimate <= 0.1
+
+    def test_aided_warm_start_charges_only_its_chow_rows(self, monkeypatch):
+        # at a large threshold the warm start is still the smoothed-Chow
+        # start: one small-class anchor draw and m = ceil(60 d ln(1/eps))
+        # queries per try, with no sharpening rounds after it
+        tries = []
+
+        def counting(init):
+            def wrapped(oracle, t, *args):
+                tries.append(t)
+                return init(oracle, t, *args)
+            return wrapped
+
+        monkeypatch.setattr(learner, "init_unextreme", counting(learner.init_unextreme))
+        oracle = make_oracle(t=2.5, d=5, seed=3)
+        report = learn(oracle, SMALLCLASS, small_class=SmallClassOracle(oracle.source, seed=3))
+        m = math.ceil(60.0 * 5 * math.log(1.0 / SMALLCLASS.epsilon))
+        assert report.verdict == "learned"
+        assert m == 2073 and len(tries) >= 1
+        assert report.queries_init == len(tries) * m
+        assert report.small_class_draws == learner.BIAS_FROM_SMALL_CLASS_DRAWS + len(tries)
+
+    def test_unaided_large_threshold_runs_no_angle_test(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(initialization, "angle_test", lambda *args, **kwargs: calls.append(args))
+        report = learn(make_oracle(t=2.5, d=5, seed=3), SMALLCLASS)
+        assert report.verdict == "learned"
+        assert calls == []
 
     def test_grid_covers_target_threshold(self):
         # white-box: with a correct bracket some grid point t_j has
