@@ -3,8 +3,7 @@
 Three tools the learner leans on everywhere: a geometric-ladder bias
 estimator that spends O~(1/p) queries to bracket the minority-class
 mass p, a three-way Hoeffding window check for probabilities, and the
-empirical (optionally projected) Chow vector estimator that doubles as
-the gradient oracle.
+empirical Chow vector estimator that doubles as the gradient oracle.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ FLOOR_PER_LEVEL = 1000
 # stop rule compares the empirical negative frequency against 5/6 of
 # the current ladder level
 LADDER_THRESHOLD_FACTOR = 5.0 / 6.0
-# reported bracket: p in [p_hat, BRACKET_FACTOR * p_hat]
-BRACKET_FACTOR = 4.0
 # returned estimate sits below the stopping level by this factor so the
 # bracket covers the stopping-rule slack under boosting noise
 RETURN_SHRINK = 0.7
@@ -150,23 +147,15 @@ def probability_window_check(
 def empirical_projected_chow(
     query_fn: Callable[[np.ndarray], np.ndarray],
     points: np.ndarray,
-    exclude: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(1/m) sum of proj z_j * label_j over the supplied Gaussian z_j.
+    """(1/m) sum of z_j * label_j over the supplied Gaussian z_j.
 
     ``query_fn`` maps an (m, d) batch of points to +-1 labels (and is
-    expected to charge the oracle ledger).  With ``exclude`` given, the
-    component along it is projected out of the average, which equals the
-    average of the projected z by linearity; the result is orthogonal to
-    ``exclude`` up to roundoff.
+    expected to charge the oracle ledger).
     """
     Z = np.atleast_2d(np.asarray(points, dtype=float))
     m = Z.shape[0]
     if m < 1:
         raise ValueError("need at least one sample")
     labels = np.asarray(query_fn(Z), dtype=float)
-    g = Z.T @ labels / m
-    if exclude is not None:
-        exclude = np.asarray(exclude, dtype=float)
-        g = g - np.dot(g, exclude) * exclude
-    return g
+    return Z.T @ labels / m

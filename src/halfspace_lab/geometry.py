@@ -24,7 +24,6 @@ __all__ = [
     "komatsu_bounds",
     "chow_vector",
     "decompose",
-    "orthonormal_to",
     "localize_halfspace",
     "sqrt_localization_apply",
     "smoothed_halfspace",
@@ -83,18 +82,15 @@ class Halfspace:
 
 @dataclass(frozen=True)
 class AngleDecomposition:
-    """target = a * reference + b * u with u a unit vector orthogonal to reference.
+    """target = a * reference + b * u with u orthogonal to reference.
 
     a = cos(theta) is stored instead of theta itself; b = sin(theta) >= 0.
+    u is a unit vector, or zero when b = 0.
     """
 
     a: float
     b: float
     u: np.ndarray
-
-    @property
-    def aligned(self) -> bool:
-        return self.b == 0.0
 
 
 def halfspace_bias(t: float) -> float:
@@ -160,21 +156,12 @@ def chow_vector(h: Halfspace) -> np.ndarray:
     return math.sqrt(2.0 / math.pi) * math.exp(-h.t * h.t / 2.0) * h.w
 
 
-def orthonormal_to(reference: np.ndarray) -> np.ndarray:
-    """A fixed unit vector orthogonal to ``reference`` (canonical-basis Gram-Schmidt)."""
-    reference = np.asarray(reference, dtype=float)
-    k = int(np.argmin(np.abs(reference)))
-    e = np.zeros_like(reference)
-    e[k] = 1.0
-    u = e - np.dot(e, reference) * reference
-    return u / np.linalg.norm(u)
-
-
 def decompose(target: np.ndarray, reference: np.ndarray) -> AngleDecomposition:
-    """Write target = a * reference + b * u with u unit, u _|_ reference, b >= 0.
+    """Write target = a * reference + b * u with u _|_ reference, b >= 0.
 
-    When target is (anti)parallel to reference, b is reported as exactly 0
-    and u is a fixed canonical orthogonal direction.
+    u is a unit vector, except when target is (anti)parallel to
+    reference: then b is reported as exactly 0 and u is the zero vector,
+    so b * u and any projection onto u vanish.
     """
     target = np.asarray(target, dtype=float)
     reference = np.asarray(reference, dtype=float)
@@ -182,7 +169,7 @@ def decompose(target: np.ndarray, reference: np.ndarray) -> AngleDecomposition:
     residual = target - a * reference
     b = float(np.linalg.norm(residual))
     if b <= 1e-12:
-        return AngleDecomposition(a=a, b=0.0, u=orthonormal_to(reference))
+        return AngleDecomposition(a=a, b=0.0, u=np.zeros_like(reference))
     return AngleDecomposition(a=a, b=b, u=residual / b)
 
 

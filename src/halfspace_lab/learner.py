@@ -7,10 +7,12 @@ bias bracket into a threshold interval, grid it, then per restart
 take a smoothed-Chow warm start (``init_unextreme``) at the top grid
 point, falling back down the grid when it fails or the descent rejects
 it at entry, and run one localized descent whose offset bracket reaches
-the top grid point, which yields at most one candidate.  A candidate
-within epsilon / MERGE_FACTOR exact disagreement mass of an earlier
+the top grid point, which yields at most one candidate.  One rule says
+when two candidates are interchangeable: their exact disagreement mass
+is at most epsilon / MERGE_FACTOR.  A candidate that close to an earlier
 leader joins it and ends the restarts; any other becomes a leader.  The
-leaders are put to a pairwise disagreement vote.
+leaders are put to a pairwise disagreement vote, which skips only pairs
+that close, so every pair it votes on gets its full m_pair points.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from scipy.special import erfcx
 
 from .estimation import BiasEstimate, estimate_bias_doubling
 from .geometry import (
-    AngleDecomposition, Halfspace, decompose, disagreement_mass, halfspace_bias, threshold_for_bias,
+    Halfspace, decompose, disagreement_mass, halfspace_bias, threshold_for_bias,
 )
 from .initialization import InitFailure, init_unextreme
 from .oracles import BudgetExceeded, MembershipOracle, SmallClassOracle, estimate_error
@@ -43,10 +45,9 @@ __all__ = [
 
 # threshold far enough out that the hypothesis is +1 on any realistic sample
 _CONSTANT_T = 40.0
-# fewest disagreement points a tournament pair needs to be voted on
-MIN_DISAGREEMENT = 10
-# a candidate within epsilon / MERGE_FACTOR exact disagreement mass of a
-# leader joins it, and the restarts stop
+# two candidates within epsilon / MERGE_FACTOR exact disagreement mass
+# are interchangeable: a later one joins an earlier leader, which stops
+# the restarts, and the tournament skips such a pair
 MERGE_FACTOR = 16
 # held-out draws behind the reported error estimate
 EVAL_SAMPLES = 100_000
@@ -142,50 +143,34 @@ def _bias_from_small_class(small_class: SmallClassOracle, n: int) -> BiasEstimat
     return BiasEstimate("bracket", 0.5 * halfspace_bias(t_est), 0)
 
 
-def sample_disagreement(
-    h1: Halfspace,
-    h2: Halfspace,
-    oracle: MembershipOracle,
-    m: int,
-    attempt_cap: int,
-) -> np.ndarray | None:
-    """Up to m Gaussian points on which h1 and h2 disagree.
+def sample_disagreement(h1: Halfspace, h2: Halfspace, oracle: MembershipOracle, m: int) -> np.ndarray:
+    """m Gaussian points on which h1 and h2 disagree.
 
-    Proposals are standard normal coordinates (p, r) in the orthonormal
-    basis e1 = w1, e2 = the unit part of w2 orthogonal to w1; they are
-    accepted where sign(p + t1) != sign(a p + b r + t2), w2 = a e1 + b e2.
-    The search stops at m hits or attempt_cap proposals.  Only the hits
-    get their other d - 2 coordinates, from fresh Gaussian rows, so each
-    returned point has the law of N(0, I_d) conditioned on disagreement.
-    Returns None below MIN_DISAGREEMENT hits: the disagreement mass is
-    then too small to matter and the pair is interchangeable.
+    Proposals are standard normal coordinates (p, r) along w1 and u,
+    where w2 = a w1 + b u (``decompose``; u = 0 when w2 = +-w1, and r
+    then plays no part); they are accepted where
+    sign(p + t1) != sign(a p + b r + t2).  The search runs until m hits,
+    about m / q proposals for a pair that disagrees on mass q, so q must
+    be positive.  Only the hits get their other coordinates, from fresh
+    Gaussian rows, so each returned point has the law of N(0, I_d)
+    conditioned on disagreement.
     """
-    if h1.dim == 1:
-        # no second axis: w2 = +-w1 and r plays no part
-        dec = AngleDecomposition(float(h2.w[0] * h1.w[0]), 0.0, h1.w)
-    else:
-        dec = decompose(h2.w, h1.w)
+    dec = decompose(h2.w, h1.w)
     found: list[np.ndarray] = []
     hits = 0
-    attempts = 0
     chunk = 4096
-    while hits < m and attempts < attempt_cap:
-        chunk = min(chunk, attempt_cap - attempts)
+    while hits < m:
         P = oracle.gaussian_points(chunk, dim=2)
-        attempts += chunk
         p, r = P[:, 0], P[:, 1]
         mask = (p + h1.t >= 0) != (dec.a * p + dec.b * r + h2.t >= 0)
         found.append(P[mask])
         hits += found[-1].shape[0]
         chunk = min(2 * chunk, 1 << 17)
-    if hits < MIN_DISAGREEMENT:
-        return None
     P = np.concatenate(found)[:m]
     # replace the span coordinates of fresh Gaussian rows by (p, r)
-    X = oracle.gaussian_points(P.shape[0])
+    X = oracle.gaussian_points(m)
     X += (P[:, 0] - X @ h1.w)[:, None] * h1.w
-    if dec.b > 0.0:
-        X += (P[:, 1] - X @ dec.u)[:, None] * dec.u
+    X += (P[:, 1] - X @ dec.u)[:, None] * dec.u
     return X
 
 
@@ -198,15 +183,16 @@ def tournament(
     """Pick a candidate that loses no pairwise disagreement vote.
 
     A pure vote over the given pool: ``learn`` passes its leaders, so
-    near-duplicate candidates cost no pairs.  For each pair, up to
-    m_pair points where the two hypotheses disagree are drawn by
-    ``sample_disagreement`` (rejection in their 2-D span, capped at
-    attempt_cap proposals) and label-queried; a pair with fewer than
-    MIN_DISAGREEMENT such points is skipped, and so, without drawing a
-    proposal, is a pair whose exact disagreement mass expects fewer
-    than MIN_DISAGREEMENT hits in attempt_cap proposals.  A
-    candidate that is wrong on clearly more than half of the points
-    takes a loss.  The returned candidate has the fewest losses (first
+    near-duplicate candidates cost no pairs.  A pair whose exact
+    disagreement mass is at most epsilon / MERGE_FACTOR is
+    interchangeable and skipped without a draw (``join_leaders``
+    applies the same rule, so no two leaders are skipped).  Every other
+    pair gets m_pair points where the two disagree, drawn by
+    ``sample_disagreement`` and label-queried.  On each such point
+    exactly one of the two is right, so one wrong-rate decides the pair:
+    the first takes a loss when it is wrong on more than 1/2 + 2 gamma
+    of the points, the second when the first is wrong on fewer than
+    1/2 - 2 gamma.  The returned candidate has the fewest losses (first
     on ties); when the oracle refuses a query (BudgetExceeded), the
     votes taken so far decide.
     """
@@ -218,25 +204,18 @@ def tournament(
     log_term = math.log(2.0 * k * k / delta)
     m_pair = math.ceil(50.0 * log_term)
     gamma = math.sqrt(log_term / (2.0 * m_pair))
-    # stop hunting for disagreement points once the region is clearly
-    # epsilon-negligible
-    attempt_cap = math.ceil(m_pair * 20.0 / epsilon)
     losses = [0] * k
     try:
         for i in range(k):
             for j in range(i + 1, k):
-                if disagreement_mass(candidates[i], candidates[j]) * attempt_cap < MIN_DISAGREEMENT:
+                if disagreement_mass(candidates[i], candidates[j]) <= epsilon / MERGE_FACTOR:
                     continue
-                pts = sample_disagreement(candidates[i], candidates[j], oracle, m_pair, attempt_cap)
-                if pts is None:
-                    continue
+                pts = sample_disagreement(candidates[i], candidates[j], oracle, m_pair)
                 labels = oracle.query_batch(pts)
                 wrong_i = float(np.mean(np.asarray(candidates[i](pts)) != labels))
-                wrong_j = float(np.mean(np.asarray(candidates[j](pts)) != labels))
-                margin = 0.5 + 2.0 * gamma
-                if wrong_i > margin:
+                if wrong_i > 0.5 + 2.0 * gamma:
                     losses[i] += 1
-                if wrong_j > margin:
+                elif wrong_i < 0.5 - 2.0 * gamma:
                     losses[j] += 1
     except BudgetExceeded:
         pass

@@ -60,8 +60,6 @@ def near_isometry_stat(
     with rows of norm about sqrt(d).  Sampling is a one-sided check; the
     exhaustive subset count is astronomical.
     """
-    if isinstance(points, Pool):
-        points = points.points
     points = np.asarray(points, dtype=float)
     m, d = points.shape
     if not (1 <= k <= min(m, d)):

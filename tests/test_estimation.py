@@ -79,16 +79,6 @@ class TestProjectedChow:
         g = empirical_projected_chow(lambda pts: np.asarray(h(pts)), Z)
         assert np.linalg.norm(g - chow_vector(h)) < 4.0 * np.sqrt(d / m)
 
-    def test_exclusion_is_exact(self):
-        rng = substream(1, "chow-excl")
-        d = 4
-        e0 = np.zeros(d)
-        e0[0] = 1.0
-        h = Halfspace(e0, 0.3)
-        Z = rng.standard_normal((2000, d))
-        g = empirical_projected_chow(lambda pts: np.asarray(h(pts)), Z, exclude=e0)
-        assert abs(float(np.dot(g, e0))) < 1e-14
-
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             empirical_projected_chow(lambda pts: np.ones(0), np.zeros((0, 3)))

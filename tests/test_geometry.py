@@ -14,7 +14,6 @@ from halfspace_lab.geometry import (
     halfspace_bias,
     komatsu_bounds,
     localize_halfspace,
-    orthonormal_to,
     sign_labels,
     smoothed_halfspace,
     sqrt_localization_apply,
@@ -187,16 +186,12 @@ class TestDecompose:
         assert dec.a ** 2 + dec.b ** 2 == pytest.approx(1.0, abs=1e-9)
 
     def test_aligned_case(self, rng):
+        # (anti)parallel directions have no orthogonal part: b = 0, u = 0
         v = unit_vector(rng, 6)
-        dec = decompose(v, v)
-        assert dec.aligned and dec.b == 0.0
-        assert abs(float(np.dot(dec.u, v))) < 1e-9
-
-    def test_orthonormal_to(self, rng):
-        v = unit_vector(rng, 7)
-        u = orthonormal_to(v)
-        assert np.linalg.norm(u) == pytest.approx(1.0)
-        assert abs(float(np.dot(u, v))) < 1e-12
+        for sign in (1.0, -1.0):
+            dec = decompose(sign * v, v)
+            assert (dec.a, dec.b) == (pytest.approx(sign), 0.0)
+            assert np.array_equal(dec.u, np.zeros(6))
 
 
 class TestLocalization:

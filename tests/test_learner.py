@@ -216,14 +216,18 @@ class TestMerge:
 
 
 class CountingOracle(MembershipOracle):
-    """Counts the full-dimensional Gaussian rows it hands out."""
+    """Records each Gaussian batch it hands out as (rows, dim argument)."""
 
-    full_rows = 0
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.batches = []
 
     def gaussian_points(self, n, dim=None):
-        if dim is None or dim == self.dim:
-            self.full_rows += n
+        self.batches.append((n, dim))
         return super().gaussian_points(n, dim)
+
+    def rows(self, dim=None):
+        return sum(n for n, k in self.batches if k == dim)
 
 
 class TestSampleDisagreement:
@@ -238,18 +242,26 @@ class TestSampleDisagreement:
             return Halfspace(w, 0.2), Halfspace(w, 0.6)
         return Halfspace(w, 0.5), Halfspace(-w, 0.3)
 
-    @pytest.mark.parametrize("kind,cap", [("near", 200_000), ("parallel", 40_000), ("antipodal", 20_000)])
-    def test_exact_conditional_law(self, kind, cap):
+    @pytest.mark.parametrize("kind,m", [("near", 200_000), ("parallel", 40_000), ("antipodal", 20_000)])
+    def test_exact_conditional_law(self, kind, m):
         h1, h2 = self.pair(kind, seed=4)
-        oracle = MembershipOracle(CleanLabels(h1), seed=4)
-        # m = cap: the search never stops early, so the hits count all cap proposals
-        X = sample_disagreement(h1, h2, oracle, cap, cap)
-        assert X.shape[1] == self.D
+        oracle = CountingOracle(CleanLabels(h1), seed=4)
+        X = sample_disagreement(h1, h2, oracle, m)
+        assert X.shape == (m, self.D)
         assert np.all(np.asarray(h1(X)) != np.asarray(h2(X)))
 
+        # the search stops at the first 2-D batch that brings the hits to m:
+        # the proposals before it hold fewer than m hits, all of them at
+        # least m.  So m / proposals brackets the exact mass q, within 4 SE
+        *before, last = [n for n, dim in oracle.batches if dim == 2]
+        n_before, n_all = sum(before), sum(before) + last
         q = disagreement_mass(h1, h2)
-        se = math.sqrt(q * (1.0 - q) / cap)
-        assert abs(X.shape[0] / cap - q) <= 4.0 * se
+
+        def band(n):
+            return 4.0 * math.sqrt(n * q * (1.0 - q))
+
+        assert q * n_before < m + band(n_before)
+        assert q * n_all > m - band(n_all)
 
         # coordinates in an orthonormal basis of span(w1, w2)'s complement
         e2 = h2.w - np.dot(h2.w, h1.w) * h1.w
@@ -263,17 +275,11 @@ class TestSampleDisagreement:
     def test_stops_at_m_hits(self):
         h1, h2 = self.pair("antipodal", seed=1)
         oracle = MembershipOracle(CleanLabels(h1), seed=1)
-        assert sample_disagreement(h1, h2, oracle, 50, 10_000).shape == (50, self.D)
-
-    def test_too_few_hits_gives_none(self):
-        w = np.eye(self.D)[0]
-        h = Halfspace(w, 0.0)
-        oracle = MembershipOracle(CleanLabels(h), seed=2)
-        assert sample_disagreement(h, Halfspace(w, 0.0), oracle, 50, 10_000) is None
+        assert sample_disagreement(h1, h2, oracle, 50).shape == (50, self.D)
 
     def test_tournament_lifts_only_queried_points(self):
-        # an identical pair (no hits), near-identical pairs that find 5 and
-        # 8 points, below MIN_DISAGREEMENT, and pairs with plenty of
+        # an identical pair and near-identical pairs, all within
+        # eps / MERGE_FACTOR and skipped, and pairs with plenty of
         # disagreement
         rng = substream(9, "lift-count")
         w = unit_vector(rng, self.D)
@@ -286,24 +292,16 @@ class TestSampleDisagreement:
         oracle = CountingOracle(CleanLabels(Halfspace(w, 0.0)), seed=9)
         tournament(cands, oracle, 0.05, 0.1)
         assert oracle.ledger > 0
-        assert oracle.full_rows == oracle.ledger
+        assert oracle.rows() == oracle.ledger
 
     def test_hopeless_pair_draws_no_row(self):
-        # a and b disagree on mass ~4e-6: times the attempt cap (88,000 for
-        # two candidates at eps = 0.05) it expects under MIN_DISAGREEMENT
-        # hits, so the pair is skipped before a single proposal is drawn
-        rows = []
-
-        class RowCounting(MembershipOracle):
-            def gaussian_points(self, n, dim=None):
-                rows.append(n)
-                return super().gaussian_points(n, dim)
-
+        # a and b disagree on mass ~4e-6, far below eps / MERGE_FACTOR, so
+        # the pair is skipped before a single proposal is drawn
         w = np.eye(self.D)[0]
         a, b, far = Halfspace(w, 0.0), Halfspace(w, 1e-5), Halfspace(np.eye(self.D)[1], 0.0)
-        oracle = RowCounting(CleanLabels(a), seed=3)
+        oracle = CountingOracle(CleanLabels(a), seed=3)
         assert tournament([a, b], oracle, 0.05, 0.1) is a
-        assert rows == [] and oracle.ledger == 0
+        assert oracle.batches == [] and oracle.ledger == 0
         # with a third candidate, only the pairs that can be voted on are sampled
         sampled = []
         sample = learner.sample_disagreement
@@ -311,6 +309,18 @@ class TestSampleDisagreement:
             mp.setattr(learner, "sample_disagreement", lambda h1, h2, *r: sampled.append((h1, h2)) or sample(h1, h2, *r))
             tournament([a, b, far], oracle, 0.05, 0.1)
         assert [(id(h1), id(h2)) for h1, h2 in sampled] == [(id(a), id(far)), (id(b), id(far))]
+
+    def test_pair_within_the_merge_radius_draws_no_row(self):
+        # two t = 0 halfspaces pi * 1e-3 apart disagree on mass 1e-3, below
+        # eps / MERGE_FACTOR = 0.003125 at eps = 0.05: the pair is
+        # interchangeable, so the vote skips it without a draw or a query
+        rng = substream(3, "mid-mass")
+        w = unit_vector(rng, self.D)
+        a, b = Halfspace(w, 0.0), Halfspace(rotated_from(w, math.pi * 1e-3, rng), 0.0)
+        assert disagreement_mass(a, b) == pytest.approx(1e-3)
+        oracle = CountingOracle(CleanLabels(a), seed=3)
+        assert tournament([a, b], oracle, 0.05, 0.1) is a
+        assert oracle.batches == [] and oracle.ledger == 0
 
 
 class TestLearn:
@@ -333,12 +343,15 @@ class TestLearn:
         vote = learner.tournament
         monkeypatch.setattr(learner, "tournament", lambda cands, *a: voted.append(cands) or vote(cands, *a))
         monkeypatch.setattr(learner, "refine", spread_offsets(learner.refine, (0.0, 0.1, 0.2)))
-        report = learn(make_oracle(t=1.0, d=10, seed=0), LearnerConfig(epsilon=0.02, restarts_per_gridpoint=3))
+        oracle = CountingOracle(make_oracle(t=1.0, d=10, seed=0).source, seed=0)
+        report = learn(oracle, LearnerConfig(epsilon=0.02, restarts_per_gridpoint=3))
         assert report.restarts_run == len(report.candidates) == 3
         [leaders] = voted
         assert [id(h) for h in leaders] == [id(c) for c in report.candidates]
-        # three pairs, 260 queries each
+        # three pairs, 260 queries each, found among this many 2-D
+        # proposals: a change to the vote's random stream shows up here
         assert report.queries_tournament == 780
+        assert oracle.rows(dim=2) == 53_248
 
     def test_last_round_out_of_window_is_an_offset_failure(self, monkeypatch):
         # every round's Chow labels come out 80% negative: t_cf is then no

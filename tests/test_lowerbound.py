@@ -122,11 +122,6 @@ class TestNearIsometry:
         s2 = near_isometry_stat(flipped, 3, 50, substream(7, "iso-a"))
         assert s1 == pytest.approx(s2, abs=1e-12)
 
-    def test_accepts_pool_argument(self):
-        pool, rng = make_pool(m=50, d=60)
-        stat = near_isometry_stat(pool, 3, 20, rng)
-        assert stat > 0.0
-
     def test_rejects_bad_k(self):
         rng = substream(0, "iso-bad")
         with pytest.raises(ValueError):
