@@ -313,18 +313,25 @@ class SmallClassOracle:
         return X[:n]
 
 
+# rows per block the evaluation channel draws, labels and counts
+EVAL_BLOCK = 1 << 14
+
+
 def estimate_error(source: LabelSource, h: Halfspace, m: int, seed: int, tag: str = "eval") -> float:
     """Monte Carlo disagreement of h against the labeling rule.
 
     Evaluation channel: draws its own points and labels, touching no
-    membership ledger.  Standard error is at most 1/(2 sqrt(m)).
+    membership ledger, in blocks of EVAL_BLOCK rows rather than one
+    (m, d) array.  Standard error is at most 1/(2 sqrt(m)).
     """
     if m < 1:
         raise ValueError("need at least one sample")
     rng = substream(seed, tag)
-    X = rng.standard_normal((m, source.dim))
-    y = source.sample_labels(X, rng)
-    return float(np.mean(np.asarray(h(X)) != y))
+    wrong = 0
+    for start in range(0, m, EVAL_BLOCK):
+        X = rng.standard_normal((min(EVAL_BLOCK, m - start), source.dim))
+        wrong += int(np.count_nonzero(source.sample_labels(X, rng) != np.asarray(h(X))))
+    return wrong / m
 
 
 @dataclass

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from halfspace_lab.geometry import Halfspace, halfspace_bias, threshold_for_bias
+from halfspace_lab.geometry import Halfspace, disagreement_mass, halfspace_bias, threshold_for_bias
 from halfspace_lab.oracles import (
+    EVAL_BLOCK,
     BoundaryBand,
     BudgetExceeded,
     CleanLabels,
@@ -18,7 +19,7 @@ from halfspace_lab.oracles import (
 )
 from halfspace_lab.rng import substream
 
-from conftest import random_halfspace, unit_vector
+from conftest import random_halfspace, rotated_from, unit_vector
 
 
 def make_oracle(t=0.5, d=4, seed=0, source_cls=CleanLabels, **kwargs):
@@ -263,6 +264,33 @@ class TestEvaluation:
         o = make_oracle()
         estimate_error(o.source, o.source.target, 1000, seed=0)
         assert o.ledger == 0
+
+    def test_blocks_of_a_large_evaluation(self):
+        # three full blocks and a short one at d = 20: the count over the
+        # blocks estimates the exact disagreement mass, and the ledger of
+        # the oracle whose source is evaluated stays untouched
+        m, d = 3 * EVAL_BLOCK + 17, 20
+        rng = substream(11, "eval-blocks")
+        w = unit_vector(rng, d)
+        target, h = Halfspace(w, 0.5), Halfspace(rotated_from(w, 0.6, rng), 0.3)
+        mass = disagreement_mass(target, h)
+        blocks = []
+
+        def recorded(X):
+            blocks.append(X.shape)
+            return h(X)
+
+        oracle = MembershipOracle(CleanLabels(target), seed=0)
+        err = estimate_error(oracle.source, recorded, m, seed=2)
+        assert blocks == [(EVAL_BLOCK, d)] * 3 + [(17, d)]
+        assert abs(err - mass) <= 4 * np.sqrt(mass * (1 - mass) / m)
+        assert oracle.ledger == 0
+        # flipped labels: h is wrong off the disagreement at the flip rate
+        # and on it at one minus the flip rate
+        rate = 0.1
+        expected = rate + (1 - 2 * rate) * mass
+        err = estimate_error(RandomFlip(target, rate), h, m, seed=3)
+        assert abs(err - expected) <= 4 * np.sqrt(expected * (1 - expected) / m)
 
 
 class TestWhiteBox:
