@@ -17,7 +17,6 @@ import ast
 import dataclasses
 import itertools
 import json
-import math
 import sys
 import time
 import typing
@@ -44,7 +43,7 @@ from .oracles import (
     RandomFlip,
     SmallClassOracle,
 )
-from .refinement import is_finite_positive
+from .refinement import check_fields
 from .rng import substream
 from .selftest import run_selftest
 
@@ -83,14 +82,10 @@ class Scenario:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        hints = typing.get_type_hints(Scenario)
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not _accepts(hints[f.name], value):
-                expected = getattr(hints[f.name], "__name__", hints[f.name])
-                raise UsageError(f"{f.name} must be {expected}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise UsageError(f"{f.name} must be finite, got {value!r}")
+        try:
+            check_fields(self)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         if self.mode not in _MODES:
             raise UsageError(f"unknown mode {self.mode!r}")
         if self.tstar is not None and self.bias is not None:
@@ -130,16 +125,6 @@ class Scenario:
         for k in sorted(self.overrides):
             parts.append(f"{k}={_fmt(self.overrides[k])}")
         return ";".join(parts)
-
-
-def _accepts(annotation, value) -> bool:
-    """Whether ``value`` has a type the annotation allows.  A bool is not
-    taken for an int, and an int (as JSON writes whole numbers) is taken
-    for a float."""
-    types = typing.get_args(annotation) or (annotation,)
-    if isinstance(value, bool):
-        return bool in types
-    return isinstance(value, types) or (float in types and isinstance(value, int))
 
 
 # the fields a sweep may vary, each also a --flag and a learn CSV column
@@ -207,29 +192,40 @@ def parse_overrides(pairs: list[str]) -> dict:
     return out
 
 
-def _apply_overrides(cfg: LearnerConfig, overrides: dict) -> LearnerConfig:
-    """Dotted keys (``refine.c_stop``) go to the stage config held in the
-    LearnerConfig field before the dot, bare keys to the learner config;
-    unknown keys, keys that name a scenario field and rejected values are
-    usage errors."""
-    for key in overrides:
+def _settable(cfg, prefix: str = ""):
+    """The config's field paths: a field holding a stage config gives
+    its fields under ``<field>.``."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _settable(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+def _apply_overrides(cfg, overrides: dict):
+    """Return ``cfg`` with the --set values: a dotted key
+    (``refine.c_stop``) goes to the stage config held in the field
+    before the dot, a bare key to ``cfg`` itself.  Keys that name a
+    scenario field, any key that is not a field path of ``cfg`` and
+    values the config rejects are usage errors."""
+    known = [key for key in _settable(cfg) if key not in _SWEEP_FIELDS]
+    stages, top = {}, {}
+    for key, value in overrides.items():
         if key in _SWEEP_FIELDS:
             flag = "--" + key.replace("_", "-")
             raise UsageError(f"{key} is set by {flag} (or a sweep field), not by --set")
-    stages = {
-        f.name: {} for f in dataclasses.fields(cfg) if dataclasses.is_dataclass(getattr(cfg, f.name))
-    }
-    top = {}
-    for key, value in overrides.items():
+        if key not in known:
+            raise UsageError(f"unknown --set key {key!r} (use {', '.join(known)})")
         head, dot, tail = key.partition(".")
-        if dot and head in stages:
-            stages[head][tail] = value
+        if dot:
+            stages.setdefault(head, {})[tail] = value
         else:
             top[key] = value
     try:
-        nested = {name: dataclasses.replace(getattr(cfg, name), **kv) for name, kv in stages.items() if kv}
+        nested = {name: dataclasses.replace(getattr(cfg, name), **kv) for name, kv in stages.items()}
         return dataclasses.replace(cfg, **nested, **top)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"config override: {exc}") from None
 
 
@@ -271,49 +267,42 @@ _STRATEGIES = {
 }
 
 
-# the lowerbound mode's --set keys and their defaults; game_budget defaults to m
-_LOWERBOUND_DEFAULTS = {
-    "m": 2000, "k": 10, "tuples": 500, "trials": 20000,
-    "game_negatives": 1, "game_budget": None, "strategy": "random",
-}
+@dataclass(frozen=True)
+class LowerboundConfig:
+    """The lowerbound mode's --set keys: positive integer counts and the
+    reveal game's strategy."""
+
+    m: int = 2000
+    k: int = 10
+    tuples: int = 500
+    trials: int = 20000
+    game_negatives: int = 1
+    # None means m
+    game_budget: int | None = None
+    strategy: str = "random"
+
+    def __post_init__(self):
+        check_fields(self, positive=True)
+        if self.k > self.m:
+            raise ValueError(f"k={self.k} exceeds the pool size m={self.m}")
+        if self.strategy not in _STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r} (use random | greedy | oracle)")
 
 
 def run_lowerbound_scenario(scenario: Scenario) -> list[list[str]]:
     """Pool statistics for one seed: near-isometry, capture probability,
     and the query game for the configured strategy."""
-    unknown = set(scenario.overrides) - set(_LOWERBOUND_DEFAULTS)
-    if unknown:
-        known = ", ".join(_LOWERBOUND_DEFAULTS)
-        raise UsageError(f"unknown lowerbound overrides {sorted(unknown)} (use {known})")
-    ov = {**_LOWERBOUND_DEFAULTS, **scenario.overrides}
-    counts = ("m", "k", "tuples", "trials", "game_negatives", "game_budget")
-    # game_budget alone may stay None, which means m
-    bad = [
-        key for key in counts
-        if not (isinstance(ov[key], int) and is_finite_positive(ov[key]))
-        and not (key == "game_budget" and ov[key] is None)
-    ]
-    if bad:
-        raise UsageError(f"lowerbound values must be integers >= 1: {', '.join(bad)}")
-    m, k, tuples, trials, game_k, game_budget = (ov[key] for key in counts)
-    if game_budget is None:
-        game_budget = m
-    if k > m:
-        raise UsageError(f"lowerbound override k={k} exceeds the pool size m={m}")
-    strategy_name = str(ov["strategy"])
-    if strategy_name not in _STRATEGIES:
-        raise UsageError(f"unknown strategy {strategy_name!r} (use random | greedy | oracle)")
-
+    cfg = _apply_overrides(LowerboundConfig(), scenario.overrides)
     t = scenario.threshold
     rng = substream(scenario.seed, "lowerbound")
-    points = rng.standard_normal((m, scenario.dim))
+    points = rng.standard_normal((cfg.m, scenario.dim))
     target = build_target(scenario)
     pool = Pool(points, target)
 
-    iso = near_isometry_stat(points, min(k, scenario.dim), tuples, rng)
-    capture = negative_capture_prob(points[:k], t, trials, rng)
-    strategy = _STRATEGIES[strategy_name](rng)
-    found, used = play_query_game(pool, strategy, game_k, game_budget)
+    iso = near_isometry_stat(points, min(cfg.k, scenario.dim), cfg.tuples, rng)
+    capture = negative_capture_prob(points[:cfg.k], t, cfg.trials, rng)
+    strategy = _STRATEGIES[cfg.strategy](rng)
+    found, used = play_query_game(pool, strategy, cfg.game_negatives, cfg.game_budget or cfg.m)
 
     echo = scenario.echo()
     stats = [

@@ -2,7 +2,7 @@
 
 Three tools the learner leans on everywhere: a geometric-ladder bias
 estimator that spends O~(1/p) queries to bracket the minority-class
-mass p, a three-way Hoeffding window check for probabilities, and the
+mass p, an in/out Hoeffding window check for probabilities, and the
 empirical Chow vector estimator that doubles as the gradient oracle.
 """
 
@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "BiasEstimate",
     "estimate_bias_doubling",
-    "WindowVerdict",
     "WindowResult",
     "probability_window_check",
     "window_check_samples",
@@ -94,20 +93,10 @@ def estimate_bias_doubling(
 
 
 @dataclass(frozen=True)
-class WindowVerdict:
-    IN_WINDOW = "in_window"
-    OUTSIDE = "outside"
-    INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
 class WindowResult:
-    verdict: str
+    in_window: bool
     p_emp: float
     samples: int
-
-    def side(self, lo: float, hi: float) -> str:
-        return "low" if self.p_emp < 0.5 * (lo + hi) else "high"
 
 
 def window_check_samples(lo: float, hi: float, delta: float) -> int:
@@ -119,14 +108,12 @@ def probability_window_check(
     window: tuple[float, float],
     delta: float,
 ) -> WindowResult:
-    """Three-way test of whether a Bernoulli(-1) rate lies in a window.
+    """In/out test of whether a Bernoulli(-1) rate lies in a window.
 
     ``sample(n)`` must return n fresh +-1 draws; the -1 frequency is the
-    tested probability.  With margin = (hi - lo)/4: in-window verdicts
-    require the empirical value to clear the window edges by margin/2,
-    outside verdicts require it to leave the window entirely, and the
-    band in between is reported as inconclusive so callers can re-probe
-    rather than mis-decide.
+    tested probability.  With margin = (hi - lo)/4, the rate is taken
+    to be in the window when the empirical value clears both window
+    edges by margin/2, and out of it otherwise.
     """
     lo, hi = window
     if not (0.0 < lo < hi < 1.0):
@@ -135,13 +122,7 @@ def probability_window_check(
     labels = np.asarray(sample(n))
     p_emp = float(np.mean(labels == -1))
     margin = (hi - lo) / 4.0
-    if lo + margin / 2.0 <= p_emp <= hi - margin / 2.0:
-        verdict = WindowVerdict.IN_WINDOW
-    elif p_emp <= lo or p_emp >= hi:
-        verdict = WindowVerdict.OUTSIDE
-    else:
-        verdict = WindowVerdict.INCONCLUSIVE
-    return WindowResult(verdict, p_emp, n)
+    return WindowResult(lo + margin / 2.0 <= p_emp <= hi - margin / 2.0, p_emp, n)
 
 
 def empirical_projected_chow(

@@ -29,7 +29,7 @@ from .geometry import (
 )
 from .initialization import InitFailure, init_unextreme
 from .oracles import BudgetExceeded, MembershipOracle, SmallClassOracle, estimate_error
-from .refinement import EntryRejected, RefineConfig, entry_scale, is_finite_positive, refine
+from .refinement import EntryRejected, RefineConfig, check_fields, entry_scale, refine
 
 # the benchmark's span tracer patches this name; nothing here calls it
 init_extreme = init_unextreme
@@ -74,11 +74,7 @@ class LearnerConfig:
     refine: RefineConfig = field(default_factory=RefineConfig)
 
     def __post_init__(self):
-        r = self.restarts_per_gridpoint
-        if r is not None and not (isinstance(r, int) and is_finite_positive(r)):
-            raise ValueError(f"restarts_per_gridpoint must be an integer >= 1, got {r!r}")
-        if self.grid_step is not None and not is_finite_positive(self.grid_step):
-            raise ValueError(f"grid_step must be a finite positive number, got {self.grid_step!r}")
+        check_fields(self, positive=True)
 
     def restarts(self) -> int:
         if self.restarts_per_gridpoint is not None:

@@ -17,22 +17,20 @@ round's Chow labels, a closed-form estimate of t* that costs no query.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import ndtri
 
-from .estimation import (
-    WindowVerdict,
-    empirical_projected_chow,
-    probability_window_check,
-)
+from .estimation import empirical_projected_chow, probability_window_check
 from .geometry import Halfspace
 from .oracles import BudgetExceeded, MembershipOracle, localized_query_batch
 
 __all__ = [
     "RefineConfig",
     "RefineState",
+    "check_fields",
     "OffsetNotFound",
     "EntryRejected",
     "search_offset",
@@ -80,32 +78,49 @@ CERTIFICATE_SLACK = 2.0
 BERNSTEIN_SCALE = 2.01
 
 
+def check_fields(obj, positive: bool = False) -> None:
+    """Check each field of the dataclass ``obj`` against its annotation.
+
+    The value must have a type the annotation allows (a bool is not an
+    int, and an int counts as a float) and, if a number, be finite and,
+    with ``positive``, > 0.  None passes where the annotation allows it.
+    Raises ValueError naming the first bad field.
+    """
+    hints = typing.get_type_hints(type(obj))
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        types = typing.get_args(hints[f.name]) or (hints[f.name],)
+        if isinstance(value, bool):
+            ok = bool in types
+        else:
+            ok = isinstance(value, types) or (float in types and isinstance(value, int))
+        if not ok:
+            expected = " | ".join("None" if t is type(None) else t.__name__ for t in types)
+            raise ValueError(f"{f.name} must be {expected}, got {value!r}")
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if positive and value <= 0:
+                raise ValueError(f"{f.name} must be positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RefineConfig:
+    """A descent's two settings, each finite and positive.  The step and
+    contraction constants c1 and c2 are fixed by the analysis."""
+
     # per-round step size mu = sigma / c1; sigma' = (1 - 1/c2) sigma is the
     # slowest contraction, taken when a round certifies no more.  c2 sized
     # so the worst-case per-round angle decrease (gradient norm bounded by
-    # the in-window Chow length) still beats 1/c2
-    c1: float = 8.01
-    c2: float = 40.0
+    # the in-window Chow length) still beats 1/c2; both exceed 8
+    c1: typing.ClassVar[float] = 8.01
+    c2: typing.ClassVar[float] = 40.0
     # stop once sigma <= c_stop * epsilon * exp(t'^2 / 2)
     c_stop: float = 1.0
     grad_samples_multiplier: float = 40.0
 
     def __post_init__(self):
-        for name in ("c1", "c2", "c_stop", "grad_samples_multiplier"):
-            value = getattr(self, name)
-            if not is_finite_positive(value):
-                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-        if not (self.c1 > 8 and self.c2 > 8):
-            raise ValueError("c1 and c2 must exceed 8")
-
-
-def is_finite_positive(value) -> bool:
-    """Whether value is a real number (not a bool), finite and > 0."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return math.isfinite(value) and value > 0
+        check_fields(self, positive=True)
 
 
 @dataclass(frozen=True)
@@ -147,9 +162,10 @@ def search_offset(
     bisection over [0, t'] converges: a probe whose empirical rate falls
     below the window center raises the lower bracket, above lowers the
     upper one.  The first probe is at ``start`` when it lies in [0, t']
-    (a descent passes its last accepted offset), else at t'/2.  Accepts
-    on an in-window verdict.  Once the bracket shrinks below a quarter
-    of sigma without one, it settles for a rate inside VALIDITY_WINDOW
+    (a descent passes its last accepted offset), else at t'/2.  Each
+    probe is one in/out window check, and the search accepts the first
+    probe in the window.  Once the bracket shrinks below a quarter of
+    sigma without one, it settles for a rate inside VALIDITY_WINDOW
     unless ``strict``, and fails otherwise.
     """
     if not (0.0 < sigma <= 0.5):
@@ -169,7 +185,7 @@ def search_offset(
             )
 
         result = probability_window_check(sample, BIAS_WINDOW, delta_probe)
-        if result.verdict == WindowVerdict.IN_WINDOW:
+        if result.in_window:
             return mid
         if hi_t - lo_t < resolution:
             # the target band is unreachable inside [0, t']; settle for
@@ -177,7 +193,7 @@ def search_offset(
             if not strict and val_lo < result.p_emp < val_hi:
                 return mid
             break
-        if result.side(*BIAS_WINDOW) == "low":
+        if result.p_emp < 0.5 * sum(BIAS_WINDOW):
             lo_t = mid
         else:
             hi_t = mid

@@ -219,6 +219,8 @@ class TestMainModes:
             '{"noise": ["clean", "rcn:0.7"], "dim": 5, "epsilon": 0.05}',
             '{"dim": [4, 5], "set": {"refine.c1": 2}}',
             '{"set": {"delta": 0.2}}',
+            # a value that is no stage config, caught before the first cell runs
+            '{"dim": 3, "tstar": 0.5, "epsilon": [0.2, 0.05], "set": {"refine": 3}}',
         ]
         for i, text in enumerate(sweeps):
             sweep = tmp_path / f"sweep{i}.json"
@@ -251,7 +253,7 @@ class TestMainModes:
             "grid_step=0", "grid_step=nan", "grid_step=-0.1", "grid_step=1e999",
             "refine.c_stop=0", "refine.c_stop=-1", "refine.grad_samples_multiplier=0",
             "refine.c1=1e999", "restarts_per_gridpoint=1.5", "restarts_per_gridpoint=0",
-            "restarts_per_gridpoint=-1", "restarts_per_gridpoint=True",
+            "restarts_per_gridpoint=-1", "restarts_per_gridpoint=True", "refine=3",
         ]:
             argvs.append(learn_argv + ["--set", kv])
         for kvs in [
@@ -269,6 +271,9 @@ class TestMainModes:
         assert all(line.startswith("halfspace-lab: error: ") for line in errors)
         assert any("--set" in line and "--epsilon" in line for line in errors)
         assert any("--set" in line and "--delta" in line for line in errors)
+        # an unknown key names the mode's keys, read off its config's fields
+        assert any("'tournament_factor'" in line and "refine.c_stop" in line for line in errors)
+        assert any("'M'" in line and "game_budget, strategy" in line for line in errors)
 
     def test_budget_exit_2(self):
         code = main([

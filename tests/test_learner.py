@@ -79,7 +79,7 @@ class TestConfig:
 
         assert sorted(paths(LearnerConfig(epsilon=0.1))) == sorted([
             "epsilon", "delta", "restarts_per_gridpoint", "grid_step",
-            "refine.c1", "refine.c2", "refine.c_stop", "refine.grad_samples_multiplier",
+            "refine.c_stop", "refine.grad_samples_multiplier",
         ])
 
     def test_default_restarts_capped(self):

@@ -39,9 +39,12 @@ def setup_problem(d=8, t=1.0, angle=0.9, seed=0):
 
 class TestConfig:
     def test_rejects_small_constants(self):
-        with pytest.raises(ValueError):
+        # c1 and c2 are constants of the analysis, each above 8, and no
+        # config sets them
+        assert RefineConfig.c1 > 8 and RefineConfig.c2 > 8
+        with pytest.raises(TypeError):
             RefineConfig(c1=4.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             RefineConfig(c2=2.0)
 
     def test_planned_rounds(self):
