@@ -1,9 +1,10 @@
 """Query-frugal statistical estimators.
 
 Three tools the learner leans on everywhere: a geometric-ladder bias
-estimator that spends O~(1/p) queries to bracket the minority-class
-mass p, an in/out Hoeffding window check for probabilities, and the
-empirical Chow vector estimator that doubles as the gradient oracle.
+estimator that brackets the minority-class mass p in about 1,120/p
+queries by growing one sample per repetition down the ladder, an in/out
+Hoeffding window check for probabilities, and the empirical Chow vector
+estimator that doubles as the gradient oracle.
 """
 
 from __future__ import annotations
@@ -25,11 +26,13 @@ __all__ = [
 
 LADDER_BASE = 4.0 / 5.0
 # the ladder declares the bias small once its level drops below
-# C_SMALL * epsilon
-C_SMALL = 4.0
-# queries per repetition at level p_hat: FLOOR_PER_LEVEL + SAMPLES_PER_LEVEL / p_hat
+# C_SMALL * epsilon.  A level p_hat <= p passes with high probability,
+# so failing every level down to the last one tested bounds p by that
+# level; with C_SMALL = LADDER_BASE the last level tested is at most
+# epsilon, and "small" means p <= epsilon
+C_SMALL = LADDER_BASE
+# a repetition's sample at level p_hat holds ceil(SAMPLES_PER_LEVEL / p_hat) queries
 SAMPLES_PER_LEVEL = 160.0
-FLOOR_PER_LEVEL = 1000
 # stop rule compares the empirical negative frequency against 5/6 of
 # the current ladder level
 LADDER_THRESHOLD_FACTOR = 5.0 / 6.0
@@ -43,7 +46,9 @@ class BiasEstimate:
     """Either a multiplicative bracket on the bias or a 'small' verdict.
 
     verdict "bracket": the estimator asserts p_hat <= p <= 4 * p_hat.
-    verdict "small": the estimator asserts p <= C_SMALL * epsilon.
+    verdict "small": every level down to p_hat / LADDER_BASE <= epsilon
+    failed, so the estimator asserts p <= epsilon; p_hat is the first
+    level not tested.
     """
 
     verdict: str
@@ -62,30 +67,41 @@ def estimate_bias_doubling(
 ) -> BiasEstimate:
     """Bracket the negative-label mass p by descending a geometric ladder.
 
-    Levels p_hat_i = (4/5)^i / 2.  At each level, take
-    FLOOR_PER_LEVEL + SAMPLES_PER_LEVEL / p_hat fresh Gaussian queries
-    per repetition, compare the negative frequency against (5/6) p_hat,
-    and majority-boost over O(log 1/delta) repetitions.  Stop at the
-    first passing level, or declare the bias small once the ladder
-    descends below C_SMALL * epsilon.
+    Levels p_hat_i = (4/5)^i / 2.  Each of O(log 1/delta) repetitions
+    keeps one growing sample and its negative count: at level i its
+    sample grows from n_{i-1} to n_i = ceil(SAMPLES_PER_LEVEL / p_hat_i)
+    points, and only the n_i - n_{i-1} new ones are queried, in one
+    batch.  The level passes when the count reaches (5/6) p_hat_i n_i in
+    a majority of the repetitions.  Stop at the first passing level, or
+    declare the bias small once the ladder descends below
+    C_SMALL * epsilon.  The ladder costs reps * n_last queries, about
+    1,120/p at delta = 0.1, where n_last belongs to the last level tested.
+
+    Why reuse keeps the guarantee: at each level, every repetition's
+    test still sees n_i i.i.d. fresh queries, and the repetitions draw
+    disjoint points, so they stay independent of each other.  Each
+    level's error probability is therefore what a fresh sample would
+    give.  Only the dependence across levels changes, and the guarantee
+    only union-bounds over levels, which needs no independence.
     """
     if not (0.0 < epsilon < 1.0 and 0.0 < delta < 1.0):
         raise ValueError("epsilon and delta must lie in (0, 1)")
     start = oracle.ledger
     reps = 2 * max(1, math.ceil(math.log(1.0 / delta))) + 1
+    counts = [0] * reps
+    n = 0
     level = 0
     while True:
         p_hat = 0.5 * LADDER_BASE ** level
         if p_hat < C_SMALL * epsilon:
             return BiasEstimate("small", p_hat, oracle.ledger - start)
-        threshold = LADDER_THRESHOLD_FACTOR * p_hat
-        n = FLOOR_PER_LEVEL + math.ceil(SAMPLES_PER_LEVEL / p_hat)
-        passes = 0
-        for _ in range(reps):
-            labels = oracle.query_batch(oracle.gaussian_points(n))
-            if np.mean(labels == -1) >= threshold:
-                passes += 1
-        if 2 * passes > reps:
+        n_next = math.ceil(SAMPLES_PER_LEVEL / p_hat)
+        for r in range(reps):
+            labels = oracle.query_batch(oracle.gaussian_points(n_next - n))
+            counts[r] += int(np.count_nonzero(labels == -1))
+        n = n_next
+        threshold = LADDER_THRESHOLD_FACTOR * p_hat * n
+        if 2 * sum(c >= threshold for c in counts) > reps:
             return BiasEstimate(
                 "bracket", RETURN_SHRINK * p_hat, oracle.ledger - start
             )

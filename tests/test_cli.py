@@ -188,7 +188,7 @@ class TestMainModes:
         ]) == 0
         header, rows = read_csv(out)
         row = dict(zip(header, rows[0]))
-        assert (row["verdict"], row["total_queries"], row["err_estimate"]) == ("learned", "384078", "0.00033")
+        assert (row["verdict"], row["total_queries"], row["err_estimate"]) == ("learned", "332816", "0.00039")
 
     def test_selftest_mode(self, capsys):
         assert main(["--mode", "selftest"]) == 0
@@ -300,14 +300,14 @@ class TestMainModes:
 
     def test_budget_spent_in_tournament_exits_2(self, tmp_path, monkeypatch):
         # three restarts, whose candidates' offsets are spread 0.1 apart so
-        # that none joins another, reach the tournament at ledger 599,348;
+        # that none joins another, reach the tournament at ledger 550,317;
         # the vote over their three leaders (260 queries a pair) would end
-        # at 600,128, and the budget refuses its second pair
+        # at 551,097, and the budget refuses its second pair
         monkeypatch.setattr(learner, "refine", spread_offsets(learner.refine, (0.0, 0.1, 0.2)))
         out = tmp_path / "budget.csv"
         code = main([
             "--mode", "learn", "--dim", "10", "--tstar", "1.0", "--epsilon", "0.02",
-            "--seed", "4", "--budget", "599700", "--set", "restarts_per_gridpoint=3",
+            "--seed", "4", "--budget", "550600", "--set", "restarts_per_gridpoint=3",
             "--out", str(out),
         ])
         assert code == 2
@@ -315,7 +315,7 @@ class TestMainModes:
         row = dict(zip(header, rows[0]))
         assert row["verdict"] == "budget"
         assert int(row["queries_tournament"]) > 0
-        assert int(row["total_queries"]) <= 599_700
+        assert int(row["total_queries"]) <= 550_600
 
     def test_spent_oracle_skips_the_tournament(self, tmp_path, monkeypatch):
         # the budget runs out in the second restart's descent, whose
@@ -333,7 +333,7 @@ class TestMainModes:
             learner, "refine", lambda *args, **kwargs: descents.append(refine(*args, **kwargs)) or descents[-1]
         )
         out = tmp_path / "budget.csv"
-        for tstar, err, total in [("1.0", "0.0003", "327368"), ("-1.0", "0.00017", "326618")]:
+        for tstar, err, total in [("1.0", "0.00036", "327519"), ("-1.0", "0.00028", "327519")]:
             descents.clear()
             code = main([
                 "--mode", "learn", "--dim", "10", "--tstar", tstar, "--epsilon", "0.02",

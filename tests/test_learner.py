@@ -9,7 +9,7 @@ from scipy.special import erfcx, ndtr
 import halfspace_lab.initialization as initialization
 import halfspace_lab.learner as learner
 import halfspace_lab.refinement as refinement
-from halfspace_lab.geometry import Halfspace, disagreement_mass
+from halfspace_lab.geometry import Halfspace, disagreement_mass, threshold_for_bias
 from halfspace_lab.initialization import InitFailure
 from halfspace_lab.learner import (
     LearnerConfig,
@@ -331,7 +331,7 @@ class TestLearn:
         # or to what the learner queries shows up here as a plain diff
         w = np.eye(20)[0]
         report = learn(MembershipOracle(CleanLabels(Halfspace(w, 1.0)), seed=7), LearnerConfig(epsilon=0.02))
-        assert (report.total_queries, report.restarts_run, report.err_estimate) == (701_728, 2, 0.00045)
+        assert (report.total_queries, report.restarts_run, report.err_estimate) == (624_335, 2, 0.00036)
         assert len(report.candidates) == 2
         assert report.queries_tournament == 0
         assert report.attempts == (
@@ -351,7 +351,7 @@ class TestLearn:
         # three pairs, 260 queries each, found among this many 2-D
         # proposals: a change to the vote's random stream shows up here
         assert report.queries_tournament == 780
-        assert oracle.rows(dim=2) == 36_864
+        assert oracle.rows(dim=2) == 53_248
 
     def test_last_round_out_of_window_is_an_offset_failure(self, monkeypatch):
         # every round's Chow labels come out 80% negative: t_cf is then no
@@ -522,7 +522,16 @@ class TestLearn:
         oracle = make_oracle(t=3.5, d=5, seed=0)
         report = learn(oracle, LearnerConfig(epsilon=0.05, restarts_per_gridpoint=1))
         assert report.verdict == "constant_plus_one"
-        assert report.err_estimate <= 4 * 0.05
+        assert report.err_estimate <= 0.05
+
+    @pytest.mark.parametrize("d,p,eps", [(5, 0.15, 0.05), (10, 0.05, 0.02)])
+    def test_bias_above_epsilon_is_learned(self, d, p, eps):
+        # the constant +1 hypothesis errs on exactly p > eps here, so the
+        # small verdict must not fire: the learn reaches exact error <= eps
+        oracle = make_oracle(t=threshold_for_bias(p), d=d, seed=0)
+        report = learn(oracle, LearnerConfig(epsilon=eps))
+        assert report.verdict == "learned"
+        assert disagreement_mass(report.hypothesis, oracle.source.target) <= eps
 
     def test_negative_threshold_is_flipped(self):
         # majority-negative target: learner must flip, learn, and un-flip
@@ -551,17 +560,17 @@ class TestLearn:
         assert report.verdict == "budget"
         assert report.total_queries <= 5000
 
-    # the unbudgeted learn at d=10, t=1, seed 0 spends 67,428 queries on
+    # the unbudgeted learn at d=10, t=1, seed 0 spends 7,039 queries on
     # the probe and bias ladder, then 2,604 per warm start; with three
     # restarts whose candidates' offsets are spread 0.1 apart, so that
-    # none joins another, it reaches the tournament at ledger 598,348, and
-    # the vote over its three leaders (260 queries a pair) ends at 599,128
+    # none joins another, it reaches the tournament at ledger 512,493, and
+    # the vote over its three leaders (260 queries a pair) ends at 513,273
     @pytest.mark.parametrize("budget,restarts,stage", [
         (150, 1, "probe"),
-        (20_000, 1, "bias"),
-        (68_500, 1, "init"),
+        (2_000, 1, "bias"),
+        (8_100, 1, "init"),
         (100_000, 1, "refine"),
-        (598_700, 3, "tournament"),
+        (512_800, 3, "tournament"),
     ])
     def test_budget_is_a_hard_ceiling(self, budget, restarts, stage, monkeypatch):
         monkeypatch.setattr(learner, "refine", spread_offsets(learner.refine, (0.0, 0.1, 0.2)))
