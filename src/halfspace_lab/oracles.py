@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .geometry import (
     AngleDecomposition,
@@ -42,6 +43,7 @@ __all__ = [
     "SmallClassOracle",
     "SmallClassUnreachable",
     "WhiteBoxView",
+    "margin_replica",
     "localized_query_batch",
     "smoothed_query_batch",
     "estimate_error",
@@ -52,9 +54,6 @@ class LabelSource:
     """Randomized labeling rule y(x) with a known optimal halfspace error."""
 
     target: Halfspace
-    # True when the label law depends on x only through the margin w.x,
-    # so the same class with a 1-D target labels margins alone
-    margin_only = False
 
     @property
     def dim(self) -> int:
@@ -69,15 +68,25 @@ class LabelSource:
         calls at the same point are independent draws."""
         raise NotImplementedError
 
+    def margin_law(self) -> tuple[tuple[float, float, float], ...] | None:
+        """The negative-label rate as a function of r = w*.x alone, as
+        pieces (lo, hi, rate) with the rate constant on each and 0 off
+        them; None when the label law reads x through more than r.  A
+        source with a margin law labels r alone when given the 1-D target
+        sign(r + t*) (``margin_replica``)."""
+        return None
+
 
 @dataclass
 class CleanLabels(LabelSource):
     target: Halfspace
-    margin_only = True
 
     @property
     def opt(self) -> float:
         return 0.0
+
+    def margin_law(self):
+        return ((-math.inf, -self.target.t, 1.0),)
 
     def sample_labels(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return np.asarray(self.target(np.atleast_2d(X)))
@@ -88,7 +97,6 @@ class RandomFlip(LabelSource):
     """Each label flipped independently with probability ``rate`` < 1/2."""
 
     target: Halfspace
-    margin_only = True
     rate: float
 
     def __post_init__(self):
@@ -98,6 +106,10 @@ class RandomFlip(LabelSource):
     @property
     def opt(self) -> float:
         return self.rate
+
+    def margin_law(self):
+        t = self.target.t
+        return ((-math.inf, -t, 1.0 - self.rate), (-t, math.inf, self.rate))
 
     def sample_labels(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         X = np.atleast_2d(X)
@@ -115,7 +127,6 @@ class BoundaryBand(LabelSource):
     """
 
     target: Halfspace
-    margin_only = True
     band: float
 
     def __post_init__(self):
@@ -126,6 +137,11 @@ class BoundaryBand(LabelSource):
     def opt(self) -> float:
         # mass of the band: Phi(-t + band) - Phi(-t - band)
         return halfspace_bias(self.target.t - self.band) - halfspace_bias(self.target.t + self.band)
+
+    def margin_law(self):
+        # negative below the band, and on its half where the clean label is +1
+        t = self.target.t
+        return ((-math.inf, -t - self.band, 1.0), (-t, -t + self.band, 1.0))
 
     def sample_labels(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         X = np.atleast_2d(X)
@@ -207,17 +223,21 @@ class MembershipOracle:
         self._charge(X.shape[0])
         return self.label_sign * self.source.sample_labels(X, self._rng)
 
-    def gaussian_points(self, n: int, dim: int | None = None) -> np.ndarray:
+    def gaussian_points(self, n: int, dim: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
         """Fresh standard Gaussian points (no ledger cost until queried),
-        in ``dim`` dimensions (default: the source's)."""
-        return self._gauss.standard_normal((n, self.source.dim if dim is None else dim))
+        in ``dim`` dimensions (default: the source's).  With ``out``, an
+        (n, dim) float array, they are written into it and it is returned."""
+        return self._gauss.standard_normal((n, self.source.dim if dim is None else dim), out=out)
 
 
-def localized_query_batch(oracle: MembershipOracle, v: np.ndarray, s: float, sigma: float, Z: np.ndarray) -> np.ndarray:
-    """Labels at A^{1/2} z - s v with A = I - (1 - sigma^2) v v^T."""
+def localized_query_batch(
+    oracle: MembershipOracle, v: np.ndarray, s: float, sigma: float, Z: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Labels at A^{1/2} z - s v with A = I - (1 - sigma^2) v v^T; the
+    query points are built in ``out`` when given."""
     if not (0.0 < sigma < 1.0):
         raise ValueError("sigma must lie in (0, 1)")
-    X = sqrt_localization_apply(v, sigma, Z)
+    X = sqrt_localization_apply(v, sigma, Z, out=out)
     X -= s * np.asarray(v, dtype=float)
     return oracle.query_batch(X)
 
@@ -229,27 +249,60 @@ def smoothed_query_batch(oracle: MembershipOracle, x0: np.ndarray, rho: float, Z
     return oracle.query_batch(shift * np.asarray(x0, dtype=float) + rho * np.asarray(Z, dtype=float))
 
 
+def margin_replica(source) -> LabelSource | None:
+    """The source's label law on the margin coordinate r = w*.x alone:
+    its class with the 1-D target sign(r + t*), or None when it has no
+    margin law (``LabelSource.margin_law``; a duck-typed source offering
+    only dim and sample_labels has none)."""
+    margin_law = getattr(source, "margin_law", None)
+    if margin_law is None or margin_law() is None:
+        return None
+    return replace(source, target=Halfspace(np.ones(1), source.target.t))
+
+
 class SmallClassUnreachable(RuntimeError):
-    """Rejection loop exhausted its attempt cap before collecting the requested points."""
+    """No negative-label point can be drawn: the rejection loop exhausted
+    its attempt cap, or a margin law's negative mass underflows to 0."""
+
+
+def _lower_tail_pieces(law: tuple[tuple[float, float, float], ...]) -> np.ndarray:
+    """Rows (a, b, sign, Phi(a), Phi(b) - Phi(a), weight) of a margin law
+    split at 0, each piece above 0 mirrored: r = sign * s with s in
+    (a, b), b <= 0, so ndtr and ndtri only see the lower tail, where they
+    keep full relative accuracy.  weight is the piece's negative mass,
+    its rate times Phi(b) - Phi(a); pieces of weight 0 are dropped."""
+    rows = []
+    for lo, hi, rate in law:
+        for a, b, sign in ((lo, min(hi, 0.0), 1.0), (-hi, min(-lo, 0.0), -1.0)):
+            if a < b:
+                cdf_a, width = ndtr(a), ndtr(b) - ndtr(a)
+                rows.append((a, b, sign, cdf_a, width, rate * width))
+    pieces = np.array(rows, dtype=float).reshape(-1, 6)
+    return pieces[pieces[:, 5] > 0]
 
 
 @dataclass
 class SmallClassOracle:
-    """Sampler of x ~ N(0, I) conditioned on y(x) = -1, by rejection.
+    """Sampler of x ~ N(0, I) conditioned on y(x) = -1.
 
-    When the source's label law depends on x only through the margin
-    w*.x (``margin_only``), proposals are scalar r ~ N(0, 1) in that
-    coordinate, labelled by the same source class with a 1-D target at
-    the same threshold.  Only accepted r are lifted to
-    x = r w* + g - (g.w*) w* with fresh g ~ N(0, I_d), which is exactly
-    N(0, I) conditioned on y = -1.  Other sources (``RegionFlip``) get
-    full d-dimensional proposals.  Accepted points a call does not
-    return are kept and served first by the next call; they are i.i.d.
-    draws from the same law.
+    A source with a margin law (``LabelSource.margin_law``) is sampled
+    exactly.  The margin r = w*.x of a negative point has density
+    proportional to rate(r) phi(r), a mixture of normals truncated to the
+    law's pieces: a piece is picked by its negative mass, r is drawn in
+    it by inverse CDF (Devroye 1986, ch. II; pieces above 0 are mirrored
+    into the lower tail), and r is lifted to x = r w* + g - (g.w*) w*
+    with fresh g ~ N(0, I_d).  That reaches any depth whose mass is a
+    positive double (t = 20, p ~ 3e-89, costs what t = 1 does).
 
-    Returned points are counted in ``draws`` and proposals in
-    ``proposals``, not in any membership ledger: the oracle models an
-    external supply of minority-class examples.
+    Other sources (``RegionFlip``) are sampled by rejection from full
+    d-dimensional proposals, counted in ``proposals``; a call raises
+    SmallClassUnreachable after ``attempt_cap`` of them without n hits.
+    Hits a call does not return are kept and served first by the next
+    call; they are i.i.d. draws from the same law.
+
+    Returned points are counted in ``draws``, not in any membership
+    ledger: the oracle models an external supply of minority-class
+    examples.
     """
 
     source: LabelSource
@@ -258,37 +311,47 @@ class SmallClassOracle:
     draws: int = 0
     proposals: int = 0
     _rng: np.random.Generator = field(init=False, repr=False)
-    _margin_source: LabelSource | None = field(init=False, repr=False)
+    # the margin law's pieces (_lower_tail_pieces), or None: rejection
+    _pieces: np.ndarray | None = field(init=False, repr=False)
     _surplus: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self._rng = substream(self.seed, "small-class")
-        self._margin_source = None
-        if self.source.margin_only:
-            self._margin_source = replace(self.source, target=Halfspace(np.ones(1), self.source.target.t))
+        law = self.source.margin_law()
+        self._pieces = None if law is None else _lower_tail_pieces(law)
         self._surplus = np.empty((0, self.source.dim))
 
     def draw(self) -> np.ndarray:
         return self.draw_batch(1)[0]
 
-    def _accepted(self, k: int) -> np.ndarray:
-        """The negative-label points among k fresh proposals."""
-        if self._margin_source is None:
-            X = self._rng.standard_normal((k, self.source.dim))
-            return X[self.source.sample_labels(X, self._rng) == -1]
-        r = self._rng.standard_normal((k, 1))
-        r = r[self._margin_source.sample_labels(r, self._rng) == -1, 0]
+    def draw_batch(self, n: int) -> np.ndarray:
+        """n conditional samples.
+
+        Raises ValueError for n < 0, and SmallClassUnreachable when the
+        margin law has no negative mass or, on the rejection path, once
+        this call has made ``attempt_cap`` proposals without n points.
+        """
+        if n < 0:
+            raise ValueError(f"cannot draw {n} points")
+        X = self._rejected(n) if self._pieces is None else self._exact(n)
+        self.draws += n
+        return X
+
+    def _exact(self, n: int) -> np.ndarray:
+        a, b, sign, cdf_a, width, weight = self._pieces.T
+        if weight.size == 0:
+            raise SmallClassUnreachable("the margin law's negative mass underflows to 0")
+        cum = np.cumsum(weight)
+        k = np.minimum(np.searchsorted(cum, self._rng.random(n) * cum[-1], side="right"), cum.size - 1)
+        # 1 - U lies in (0, 1], so the unbounded piece's inverse stays finite
+        s = ndtri(cdf_a[k] + (1.0 - self._rng.random(n)) * width[k])
+        r = sign[k] * np.clip(s, a[k], b[k])
         w = self.source.target.w
-        X = self._rng.standard_normal((r.shape[0], self.source.dim))
+        X = self._rng.standard_normal((n, self.source.dim))
         X += (r - X @ w)[:, None] * w
         return X
 
-    def draw_batch(self, n: int) -> np.ndarray:
-        """n conditional samples, surplus from earlier calls first.
-
-        Raises SmallClassUnreachable once this call has made
-        ``attempt_cap`` proposals without collecting n points.
-        """
+    def _rejected(self, n: int) -> np.ndarray:
         parts = [self._surplus]
         have = self._surplus.shape[0]
         attempts = 0
@@ -302,14 +365,14 @@ class SmallClassOracle:
             # batch proposals geometrically: cheap when p is moderate, still
             # few passes when p is tiny; the overshoot becomes surplus
             chunk = min(chunk, self.attempt_cap - attempts)
-            parts.append(self._accepted(chunk))
+            P = self._rng.standard_normal((chunk, self.source.dim))
+            parts.append(P[self.source.sample_labels(P, self._rng) == -1])
             attempts += chunk
             self.proposals += chunk
             have += parts[-1].shape[0]
             chunk = min(4 * chunk, 1 << 20)
         X = np.concatenate(parts)
         self._surplus = X[n:].copy()
-        self.draws += n
         return X[:n]
 
 
@@ -322,15 +385,30 @@ def estimate_error(source: LabelSource, h: Halfspace, m: int, seed: int, tag: st
 
     Evaluation channel: draws its own points and labels, touching no
     membership ledger, in blocks of EVAL_BLOCK rows rather than one
-    (m, d) array.  Standard error is at most 1/(2 sqrt(m)).
+    (m, d) array.  When h is a Halfspace and the source has a margin law,
+    both read x only through p = w*.x and r = u.x, where h.w = a w* + b u
+    (``decompose``), and (p, r) is standard normal: the blocks are then
+    2 columns (p, r), p is labelled by the source's ``margin_replica``
+    and h by sign(a p + b r + t).  A callable h or any other source gets
+    d-dimensional blocks.  Standard error is at most 1/(2 sqrt(m)).
     """
     if m < 1:
         raise ValueError("need at least one sample")
     rng = substream(seed, tag)
+    replica = margin_replica(source) if isinstance(h, Halfspace) else None
+    if replica is None:
+        width, labels, guess = source.dim, source.sample_labels, h
+    else:
+        dec = decompose(h.w, source.target.w)
+        width, guess = 2, Halfspace(np.array([dec.a, dec.b]), h.t)
+
+        def labels(P, rng):
+            return replica.sample_labels(P[:, :1], rng)
+
     wrong = 0
     for start in range(0, m, EVAL_BLOCK):
-        X = rng.standard_normal((min(EVAL_BLOCK, m - start), source.dim))
-        wrong += int(np.count_nonzero(source.sample_labels(X, rng) != np.asarray(h(X))))
+        X = rng.standard_normal((min(EVAL_BLOCK, m - start), width))
+        wrong += int(np.count_nonzero(labels(X, rng) != np.asarray(guess(X))))
     return wrong / m
 
 

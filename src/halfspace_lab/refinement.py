@@ -258,6 +258,7 @@ def refine_round(
     *,
     epsilon: float = 0.0,
     floor: float = 0.0,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RefineState:
     """One localize / re-center / gradient-step round that certifies its
     own next sigma.
@@ -287,7 +288,9 @@ def refine_round(
     ``floor``.  The matching lower bound on tan(theta) gives
     ``angle_floor``, a lower confidence bound on sin(theta/2) of the
     direction the round started from.  The offset search starts from
-    the last accepted offset.
+    the last accepted offset.  ``buffers``, two (m, d) float arrays with
+    m = ``gradient_sample_size``, receive the round's Gaussian draws and
+    its query points in place of fresh arrays, which changes no value.
 
     The same labels give the offset estimate.  For margin-law labels
     the localized negative rate is Phi((t~ cos theta - t*) /
@@ -298,11 +301,12 @@ def refine_round(
     sigma = state.sigma
     t_tilde = search_offset(oracle, state.w, sigma, t_prime, delta, start=state.accepted_offset)
     m = gradient_sample_size(state.w.shape[0], total_rounds, cfg, delta)
-    Z = oracle.gaussian_points(m)
+    Z, X = buffers or (None, None)
+    Z = oracle.gaussian_points(m, out=Z)
     labels = []
 
     def query(pts: np.ndarray) -> np.ndarray:
-        labels.append(localized_query_batch(oracle, state.w, t_tilde, sigma, pts))
+        labels.append(localized_query_batch(oracle, state.w, t_tilde, sigma, pts, out=X))
         return labels[-1]
 
     g = empirical_projected_chow(query, Z)
@@ -371,7 +375,10 @@ def refine(
     round whose own offset search fails ends the descent with None.  The
     oracle refusing a query (BudgetExceeded) also ends it: it returns
     the state after its last complete round and, once the entry search
-    has accepted an offset, Halfspace(w, t_cf) of that state.
+    has accepted an offset, Halfspace(w, t_cf) of that state.  Every
+    round draws m = ``gradient_sample_size`` points, so the descent
+    allocates the rounds' two (m, d) arrays once and each round refills
+    them.
     """
     cfg = cfg or RefineConfig()
     if sigma0 is None:
@@ -390,8 +397,12 @@ def refine(
         except OffsetNotFound as exc:
             raise EntryRejected(f"entry: {exc}") from exc
         state = replace(state, accepted_offset=t_entry, t_cf=t_entry)
+        shape = (gradient_sample_size(state.w.shape[0], total, cfg, delta), state.w.shape[0])
+        buffers = (np.empty(shape), np.empty(shape))
         while state.round < total and state.sigma > (floor := stop_scale(state.accepted_offset)):
-            state = refine_round(oracle, state, t_top, cfg, delta, total, epsilon=epsilon, floor=floor)
+            state = refine_round(
+                oracle, state, t_top, cfg, delta, total, epsilon=epsilon, floor=floor, buffers=buffers
+            )
             if state.round == 1 and state.angle_floor > sigma0:
                 raise EntryRejected(
                     f"first round bounds sin(theta/2) >= {state.angle_floor:.3g} > sigma0 {sigma0:.3g}"

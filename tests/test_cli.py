@@ -333,7 +333,7 @@ class TestMainModes:
             learner, "refine", lambda *args, **kwargs: descents.append(refine(*args, **kwargs)) or descents[-1]
         )
         out = tmp_path / "budget.csv"
-        for tstar, err, total in [("1.0", "0.00036", "327519"), ("-1.0", "0.00028", "327519")]:
+        for tstar, err, total in [("1.0", "0.00032", "327519"), ("-1.0", "0.00025", "327519")]:
             descents.clear()
             code = main([
                 "--mode", "learn", "--dim", "10", "--tstar", tstar, "--epsilon", "0.02",

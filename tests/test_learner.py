@@ -222,9 +222,9 @@ class CountingOracle(MembershipOracle):
         super().__init__(*args, **kwargs)
         self.batches = []
 
-    def gaussian_points(self, n, dim=None):
+    def gaussian_points(self, n, dim=None, out=None):
         self.batches.append((n, dim))
-        return super().gaussian_points(n, dim)
+        return super().gaussian_points(n, dim, out)
 
     def rows(self, dim=None):
         return sum(n for n, k in self.batches if k == dim)
@@ -331,7 +331,7 @@ class TestLearn:
         # or to what the learner queries shows up here as a plain diff
         w = np.eye(20)[0]
         report = learn(MembershipOracle(CleanLabels(Halfspace(w, 1.0)), seed=7), LearnerConfig(epsilon=0.02))
-        assert (report.total_queries, report.restarts_run, report.err_estimate) == (624_335, 2, 0.00036)
+        assert (report.total_queries, report.restarts_run, report.err_estimate) == (624_335, 2, 0.00038)
         assert len(report.candidates) == 2
         assert report.queries_tournament == 0
         assert report.attempts == (
@@ -460,7 +460,10 @@ class TestLearn:
 
     def test_learner_reads_no_ground_truth(self):
         # a source with only dim and sample_labels (no target, opt or
-        # margin flag) gives the same run as the full source
+        # margin law) gives the same run as the full source.  Only the
+        # evaluation channel tells them apart: it scores the full source on
+        # 2-D margin blocks and the bare one on d-dimensional blocks, so
+        # each error estimate is checked against the exact disagreement
         class LabelsOnly:
             __slots__ = ("_source",)
 
@@ -484,9 +487,16 @@ class TestLearn:
                 assert [(c.w.tolist(), c.t) for c in x] == [(c.w.tolist(), c.t) for c in y]
             elif f.name == "hypothesis":
                 assert (x.w.tolist(), x.t) == (y.w.tolist(), y.t)
-            else:
+            elif f.name not in ("err_estimate", "err_se"):
                 assert x == y, f.name
         assert blind.ledger == full.ledger
+        mass = disagreement_mass(a.hypothesis, full.source.target)
+        m = learner.EVAL_SAMPLES
+        se = math.sqrt(max(mass * (1 - mass), 1 / m) / m)
+        for report in (a, b):
+            err = report.err_estimate
+            assert abs(err - mass) <= 4 * se
+            assert report.err_se == math.sqrt(max(err * (1 - err), 1 / m) / m)
 
     def test_region_flip_off_the_margin_law(self, monkeypatch):
         # labels flipped on half of a thin band around the target boundary,

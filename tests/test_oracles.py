@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import erfcx
 
 from halfspace_lab.geometry import Halfspace, disagreement_mass, halfspace_bias, threshold_for_bias
 from halfspace_lab.oracles import (
@@ -156,11 +157,70 @@ class TestSmallClass:
         mills = np.exp(-t * t / 2) / np.sqrt(2 * np.pi) / halfspace_bias(t)
         assert -np.mean(X[:, 0]) == pytest.approx(mills, abs=0.02)
 
+    @staticmethod
+    def rejection_source(t, d=4):
+        """Clean labels behind a RegionFlip that flips nothing: no margin
+        law, so the sampler takes its rejection path."""
+        return make_oracle(t=t, d=d, source_cls=RegionFlip, region=lambda X: np.zeros(X.shape[0], dtype=bool)).source
+
     def test_unreachable_raises(self):
-        src = make_oracle(t=20.0).source
-        sc = SmallClassOracle(src, seed=0, attempt_cap=10_000)
+        sc = SmallClassOracle(self.rejection_source(20.0), seed=0, attempt_cap=10_000)
         with pytest.raises(SmallClassUnreachable):
             sc.draw()
+        assert sc.proposals == 10_000
+
+    def test_margin_law_mass_underflow_raises(self):
+        # Phi(-40) underflows to 0: no depth is left to draw from
+        sc = SmallClassOracle(make_oracle(t=40.0).source, seed=0)
+        with pytest.raises(SmallClassUnreachable):
+            sc.draw()
+        assert sc.draws == 0
+
+    @pytest.mark.parametrize("t", [5.0, 10.0, 20.0])
+    def test_exact_depths_beyond_rejection(self, rng, t):
+        # p = Phi(-t) reaches 3e-89 at t = 20, where rejection would need
+        # ~1e88 proposals per draw
+        d, n = 6, 20_000
+        w = unit_vector(rng, d)
+        src = CleanLabels(Halfspace(w, t))
+        sc = SmallClassOracle(src, seed=int(t))
+        X = sc.draw_batch(n)
+        assert np.all(src.sample_labels(X, rng) == -1)
+        assert sc.draws == n and sc.proposals == 0
+        depth = -(X @ w)
+        mills = np.sqrt(2 / np.pi) / erfcx(t / np.sqrt(2))
+        assert abs(depth.mean() - mills) <= 4 * depth.std() / np.sqrt(n)
+
+    def test_far_upper_tail_piece(self, rng):
+        # the piece (8, 8.5) has mass 6e-16 in the upper tail, where
+        # 1 - Phi(r) would round to 0; mirrored, it is drawn in full
+        class UpperPiece(CleanLabels):
+            def margin_law(self):
+                return ((8.0, 8.5, 1.0),)
+
+        d, n = 3, 20_000
+        w = unit_vector(rng, d)
+        r = SmallClassOracle(UpperPiece(Halfspace(w, 0.0)), seed=1).draw_batch(n) @ w
+        assert np.all(np.isfinite(r))
+        assert np.all((r >= 8.0 - 1e-9) & (r <= 8.5 + 1e-9))
+        # truncated-normal mean (phi(8) - phi(8.5)) / (Phi(-8) - Phi(-8.5))
+        phi = lambda x: np.exp(-x * x / 2) / np.sqrt(2 * np.pi)
+        mean = (phi(8.0) - phi(8.5)) / (halfspace_bias(8.0) - halfspace_bias(8.5))
+        assert abs(r.mean() - mean) <= 4 * r.std() / np.sqrt(n)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_negative_count_raises(self, exact):
+        p = 0.05
+        src = make_oracle(t=threshold_for_bias(p)).source if exact else self.rejection_source(threshold_for_bias(p))
+        sc = SmallClassOracle(src, seed=8)
+        sc.draw_batch(5)
+        proposals = sc.proposals
+        with pytest.raises(ValueError):
+            sc.draw_batch(-3)
+        assert sc.draws == 5
+        # the rejection path's surplus from the first call is still served
+        assert sc.draw_batch(1).shape == (1, src.dim)
+        assert sc.proposals == proposals
 
     @staticmethod
     def _mixed_calls(sc, total):
@@ -229,7 +289,7 @@ class TestSmallClass:
 
     def test_single_draws_keep_surplus(self):
         p = 0.05
-        sc = SmallClassOracle(make_oracle(t=threshold_for_bias(p)).source, seed=3)
+        sc = SmallClassOracle(self.rejection_source(threshold_for_bias(p)), seed=3)
         for _ in range(1000):
             sc.draw()
         assert sc.draws == 1000
@@ -237,7 +297,7 @@ class TestSmallClass:
 
     def test_attempt_cap_counts_per_call(self):
         # 100 calls need ~100k proposals in all, ~1k each
-        sc = SmallClassOracle(make_oracle(t=threshold_for_bias(0.05)).source, seed=4, attempt_cap=10_000)
+        sc = SmallClassOracle(self.rejection_source(threshold_for_bias(0.05)), seed=4, attempt_cap=10_000)
         for _ in range(100):
             sc.draw_batch(50)
         assert sc.proposals > 10_000
@@ -290,6 +350,27 @@ class TestEvaluation:
         rate = 0.1
         expected = rate + (1 - 2 * rate) * mass
         err = estimate_error(RandomFlip(target, rate), h, m, seed=3)
+        assert abs(err - expected) <= 4 * np.sqrt(expected * (1 - expected) / m)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    def test_margin_law_evaluation_draws_two_columns(self, monkeypatch, rate):
+        # d = 20: a Halfspace against a margin-law source is scored on
+        # (p, r) blocks, p labelled by the 1-D replica, and still
+        # estimates the exact error within 4 SE
+        m, d = 2 * EVAL_BLOCK + 5, 20
+        rng = substream(12, "eval-2d")
+        w = unit_vector(rng, d)
+        target, h = Halfspace(w, 0.7), Halfspace(rotated_from(w, 0.4, rng), 0.2)
+        source = RandomFlip(target, rate) if rate else CleanLabels(target)
+        mass = disagreement_mass(target, h)
+        expected = rate + (1 - 2 * rate) * mass
+        labelled = []
+        sample = type(source).sample_labels
+        monkeypatch.setattr(
+            type(source), "sample_labels", lambda self, X, r: labelled.append(X.shape) or sample(self, X, r)
+        )
+        err = estimate_error(source, h, m, seed=4)
+        assert labelled == [(EVAL_BLOCK, 1)] * 2 + [(5, 1)]
         assert abs(err - expected) <= 4 * np.sqrt(expected * (1 - expected) / m)
 
 

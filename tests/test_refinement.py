@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import halfspace_lab.oracles as oracles
 import halfspace_lab.refinement as refinement
 from halfspace_lab.geometry import Halfspace
 from halfspace_lab.oracles import BoundaryBand, CleanLabels, MembershipOracle, RandomFlip, WhiteBoxView
@@ -120,6 +122,23 @@ class TestRefineRound:
         nxt = refine_round(oracle, state, 1.0, RefineConfig(), delta=0.1, total_rounds=10)
         assert view.half_angle_sine(nxt.w) < view.half_angle_sine(w0)
 
+    def test_buffers_change_no_value(self):
+        # a round that fills a descent's (dirty) buffers returns the state a
+        # round on fresh arrays returns, bit for bit, at the same ledger
+        cfg = RefineConfig()
+        results = []
+        for buffered in (False, True):
+            oracle, w0, _ = setup_problem(angle=0.4, seed=6)
+            shape = (gradient_sample_size(w0.shape[0], 10, cfg, 0.1), w0.shape[0])
+            buffers = (np.full(shape, np.nan), np.full(shape, np.nan)) if buffered else None
+            state = RefineState(w=w0, sigma=0.5, round=0, accepted_offset=math.nan)
+            results.append((refine_round(oracle, state, 1.0, cfg, 0.1, 10, buffers=buffers), oracle.ledger))
+        (fresh, ledger_fresh), (buffered, ledger_buffered) = results
+        assert ledger_fresh == ledger_buffered
+        for f in dataclasses.fields(RefineState):
+            x, y = getattr(fresh, f.name), getattr(buffered, f.name)
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), f.name
+
 
 class TestRefine:
     def test_reaches_accuracy_floor(self):
@@ -161,6 +180,33 @@ class TestDescent:
 
     def stop_scale(self, t, sigma0, cfg):
         return min(sigma0, cfg.c_stop * self.EPS * math.exp(t * t / 2.0))
+
+    def test_rounds_refill_the_descents_two_arrays(self, monkeypatch):
+        # every round draws its Chow points into one array and maps them to
+        # query points in another, the same two arrays all descent long
+        oracle, w0, _ = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
+        drawn, mapped, rounds = [], [], []
+        gauss, apply = MembershipOracle.gaussian_points, oracles.sqrt_localization_apply
+        monkeypatch.setattr(
+            MembershipOracle, "gaussian_points", lambda *a, **k: drawn.append(gauss(*a, **k)) or drawn[-1]
+        )
+        monkeypatch.setattr(
+            oracles,
+            "sqrt_localization_apply",
+            lambda v, s, z, **k: mapped.append((z, apply(v, s, z, **k))) or mapped[-1][1],
+        )
+        monkeypatch.setattr(
+            refinement, "refine_round", lambda *a, **k: rounds.append(refine_round(*a, **k)) or rounds[-1]
+        )
+        refine(oracle, w0, self.T_TOP, self.EPS, 0.1)
+        assert len(rounds) >= 2
+        # the Chow batches are the largest; the offset probes are smaller
+        m = max(z.shape[0] for z, _ in mapped)
+        chow = [(z, x) for z, x in mapped if z.shape[0] == m]
+        Z, X = chow[0]
+        assert len(chow) == len(rounds)
+        assert all(z is Z and x is X for z, x in chow) and Z is not X
+        assert [z is Z for z in drawn if z.shape[0] == m] == [True] * len(rounds)
 
     def test_stops_at_the_stop_scale_of_its_offset(self, monkeypatch):
         oracle, w0, view = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
