@@ -17,6 +17,7 @@ import ast
 import dataclasses
 import itertools
 import json
+import os
 import sys
 import time
 import typing
@@ -291,7 +292,9 @@ class LowerboundConfig:
 
 def run_lowerbound_scenario(scenario: Scenario) -> list[list[str]]:
     """Pool statistics for one seed: near-isometry, capture probability,
-    and the query game for the configured strategy."""
+    and the query game for the configured strategy.  The pool and the
+    near-isometry tuples share one stream; the capture estimate and the
+    strategy draw from their own, so no count moves another's draws."""
     cfg = _apply_overrides(LowerboundConfig(), scenario.overrides)
     t = scenario.threshold
     rng = substream(scenario.seed, "lowerbound")
@@ -300,8 +303,10 @@ def run_lowerbound_scenario(scenario: Scenario) -> list[list[str]]:
     pool = Pool(points, target)
 
     iso = near_isometry_stat(points, min(cfg.k, scenario.dim), cfg.tuples, rng)
-    capture = negative_capture_prob(points[:cfg.k], t, cfg.trials, rng)
-    strategy = _STRATEGIES[cfg.strategy](rng)
+    capture = negative_capture_prob(
+        points[:cfg.k], t, cfg.trials, substream(scenario.seed, "lowerbound", "capture")
+    )
+    strategy = _STRATEGIES[cfg.strategy](substream(scenario.seed, "lowerbound", "game"))
     found, used = play_query_game(pool, strategy, cfg.game_negatives, cfg.game_budget or cfg.m)
 
     echo = scenario.echo()
@@ -397,6 +402,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot take the CSV before any scenario
+    runs, rather than after the run it would have held."""
+    if os.path.isdir(path):
+        raise UsageError(f"--out {path!r} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise UsageError(f"--out {path!r}: no directory {parent!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -412,6 +427,8 @@ def main(argv: list[str] | None = None) -> int:
         flags = ", ".join(sorted("--" + name.replace("_", "-") for name in args if name != "mode"))
         if scenario.mode == "sweep" and flags:
             raise UsageError(f"sweep mode takes scenario fields from its file, not from {flags}")
+        if out_path is not None:
+            _check_out(out_path)
         sweep_spec = None
         if sweep_file is not None:
             with open(sweep_file) as fh:
@@ -420,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
                 except ValueError as exc:
                     raise UsageError(f"sweep file {sweep_file!r}: {exc}") from None
         return run_scenario(scenario, out_path, sweep_spec)
-    except (UsageError, FileNotFoundError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"halfspace-lab: error: {exc}", file=sys.stderr)
         return 1
 

@@ -82,12 +82,25 @@ def negative_capture_prob(
     A: np.ndarray, t_star: float, trials: int, rng: np.random.Generator
 ) -> float:
     """Monte Carlo probability that a uniform-sphere direction labels
-    every row of A negative, for a halfspace with threshold t_star."""
+    every row of A negative, for a halfspace with threshold t_star.
+
+    Each trial's direction w = g/|g|, g ~ N(0, I_d), is drawn only through
+    what the margins read.  With the reduced QR A^T = QR (r = min(k, d)
+    orthonormal columns), A w = R^T h / |g| where h = Q^T g ~ N(0, I_r),
+    and |g|^2 = |h|^2 + chi^2_{d-r} with the chi-square independent of h
+    (absent when r = d).  That is the exact law of a uniform direction,
+    drawn with trials * (r + 1) numbers: a call costs O(trials * k) time
+    and memory, whatever d is.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     d = A.shape[1]
-    W = rng.standard_normal((trials, d))
-    W /= np.linalg.norm(W, axis=1, keepdims=True)
-    margins = W @ A.T + t_star
+    _, R = np.linalg.qr(A.T)
+    r = R.shape[0]
+    h = rng.standard_normal((trials, r))
+    sq = np.einsum("ij,ij->i", h, h)
+    if d > r:
+        sq += rng.chisquare(d - r, trials)
+    margins = (h @ R) / np.sqrt(sq)[:, None] + t_star
     return float(np.mean(np.all(margins < 0, axis=1)))
 
 
@@ -160,7 +173,8 @@ class GreedyDirection:
             return self._fallback.next(pool, negatives)
         if pool is not self._pool:
             self._pool, self._negatives = pool, None
-            self._norms = np.linalg.norm(pool.points, axis=1)
+            # row norms without an (m, d) temporary of squares
+            self._norms = np.sqrt(np.einsum("ij,ij->i", pool.points, pool.points))
         if negatives is not self._negatives:
             # a new game: its list of negatives only grows from here on
             self._negatives, self._count, self._ref = negatives, 0, None

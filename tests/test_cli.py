@@ -176,7 +176,22 @@ class TestMainModes:
         _, rows = read_csv(out)
         stats = {r[2]: r[3] for r in rows}
         assert stats["game_negatives_found"] == "1000"
-        assert stats["game_queries_used"] == "1369"
+        assert stats["game_queries_used"] == "1376"
+
+    def test_lowerbound_statistics_draw_apart(self, tmp_path):
+        # the capture estimate has its own stream: its trial count moves
+        # neither the near-isometry tuples nor the game's reveals
+        kept = ["near_isometry_stat", "game_negatives_found", "game_queries_used"]
+        runs = []
+        for trials in (2000, 4000):
+            out = tmp_path / f"lb{trials}.csv"
+            assert main([
+                "--mode", "lowerbound", "--dim", "40", "--tstar", "1.0", "--seed", "1",
+                "--set", "game_negatives=5", "--set", f"trials={trials}", "--out", str(out),
+            ]) == 0
+            _, rows = read_csv(out)
+            runs.append([r[3] for r in rows if r[2] in kept])
+        assert runs[0] == runs[1]
 
     def test_readme_one_restart_learn_pinned(self, tmp_path):
         # the README's first learn with one restart: a change to what the
@@ -202,9 +217,11 @@ class TestMainModes:
         assert "FAIL broken: AssertionError('broken on purpose')" in capsys.readouterr().err
 
     def test_usage_errors_exit_1(self, tmp_path, capsys, monkeypatch):
-        # a sweep checks every cell before it runs any learn
-        learns = []
+        # a sweep checks every cell before it runs any learn, and a bad
+        # --out path is refused before any scenario runs
+        learns, pools = [], []
         monkeypatch.setattr(cli, "learn", lambda *args: learns.append(args))
+        monkeypatch.setattr(cli, "Pool", lambda *args: pools.append(args))
         assert main(["--mode", "learn", "--tstar", "1", "--bias", "0.2"]) == 1
         assert main(["--mode", "nosuch"]) == 1
         assert main(["--mode", "sweep"]) == 1
@@ -246,6 +263,10 @@ class TestMainModes:
             ["--mode", "learn", "--set", "eval_samples=1000"],
             ["--mode", "learn", "--noise", "band:inf"],
             ["--mode", "learn", "--noise", "band:nan"],
+            # paths that cannot be read or written
+            ["--mode", "sweep", "--sweep-file", str(tmp_path)],
+            ["--mode", "lowerbound", "--out", str(tmp_path)],
+            ["--mode", "lowerbound", "--out", str(tmp_path / "missing" / "lb.csv")],
         ]
         # values the learner config rejects, and lowerbound sizes no pool can meet
         learn_argv = ["--mode", "learn", "--dim", "3", "--tstar", "0.5", "--epsilon", "0.05", "--seed", "0"]
@@ -265,7 +286,7 @@ class TestMainModes:
             argvs.append(["--mode", "lowerbound"] + [arg for kv in kvs for arg in ("--set", kv)])
         for argv in argvs:
             assert main(argv) == 1, argv
-        assert learns == []
+        assert learns == [] and pools == []
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 3 + len(sweeps) + len(argvs)
         assert all(line.startswith("halfspace-lab: error: ") for line in errors)

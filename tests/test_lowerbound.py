@@ -1,5 +1,9 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from halfspace_lab.geometry import Halfspace, halfspace_bias, threshold_for_bias
 from halfspace_lab.lowerbound import (
@@ -23,6 +27,22 @@ def make_pool(m=500, d=10, p=0.2, seed=0, copies=1):
     points = np.tile(rng.standard_normal((m // copies, d)), (copies, 1))
     target = Halfspace(unit_vector(rng, d), threshold_for_bias(p))
     return Pool(points, target), rng
+
+
+def capture_law(d, s):
+    """P(u < -s) for s >= 0 and u the first coordinate of a uniform unit
+    vector in R^d: u^2 ~ Beta(1/2, (d-1)/2)."""
+    return 0.5 * betainc((d - 1) / 2, 0.5, 1.0 - s * s)
+
+
+def traced_peak(call):
+    """Peak bytes the call allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class ReferenceGreedy:
@@ -156,6 +176,34 @@ class TestNegativeCapture:
         assert prob == pytest.approx(p * p, rel=0.4)
 
 
+    @pytest.mark.parametrize("t", [0.0, 1.0, 2.0])
+    def test_single_row_matches_closed_form(self, t):
+        d, trials = 200, 40_000
+        x = np.zeros(d)
+        x[0] = math.sqrt(d)
+        prob = negative_capture_prob(x[None, :], t, trials, substream(11, "cap-law", int(t)))
+        p = capture_law(d, t / math.sqrt(d))
+        assert abs(prob - p) <= 4.0 * math.sqrt(p * (1 - p) / trials)
+
+    @pytest.mark.parametrize("d,copies", [(2, 3), (200, 2)])
+    def test_repeated_rows_capture_as_one(self, d, copies):
+        # k > d leaves no chi-square term; two copies at d = 200 make R
+        # rank-deficient
+        trials = 40_000
+        x = np.full(d, 1.0)
+        prob = negative_capture_prob(np.tile(x, (copies, 1)), 1.0, trials, substream(12, "cap-copies", d))
+        p = capture_law(d, 1.0 / math.sqrt(d))
+        assert abs(prob - p) <= 4.0 * math.sqrt(p * (1 - p) / trials)
+
+    def test_memory_does_not_grow_with_d(self):
+        # criterion 12b's call: no (trials, d) array of directions
+        x = np.zeros(200)
+        x[0] = math.sqrt(200)
+        rng = substream(0, "cap-memory")
+        peak = traced_peak(lambda: negative_capture_prob(x[None, :], 1.0, 100_000, rng))
+        assert peak < 8e6
+
+
 class TestQueryGame:
     def test_random_order_geometric_cost(self):
         pool, rng = make_pool(m=2000, p=0.2, seed=9)
@@ -204,6 +252,14 @@ class TestRevealOrder:
     def test_large_pool(self):
         order, (found, used) = assert_same_reveals("greedy", 500, m=20_000, d=200, p=0.16, seed=3)
         assert found == 500 and used == len(order)
+
+    def test_greedy_first_pick_allocates_no_pool_copy(self):
+        pool, rng = make_pool(m=20_000, d=200, p=0.16, seed=13)
+        negatives = [int(np.flatnonzero(pool.target(pool.points) == -1)[0])]
+        pool.reveal(negatives[0])
+        strategy = GreedyDirection(rng)
+        # the pool is 32 MB; its row norms and scores are 160 kB each
+        assert traced_peak(lambda: strategy.next(pool, negatives)) < 4e6
 
     @pytest.mark.parametrize("kind", ["greedy", "oracle"])
     def test_duplicated_rows_tie_to_the_lowest_index(self, kind):
