@@ -28,7 +28,7 @@ from .geometry import (
     Halfspace, decompose, disagreement_mass, halfspace_bias, threshold_for_bias,
 )
 from .initialization import InitFailure, init_unextreme
-from .oracles import BudgetExceeded, MembershipOracle, SmallClassOracle, estimate_error
+from .oracles import BudgetExceeded, MembershipOracle, SmallClassOracle, estimate_error, scores_exactly
 from .refinement import EntryRejected, RefineConfig, check_fields, entry_scale, refine
 
 # the benchmark's span tracer patches this name; nothing here calls it
@@ -49,7 +49,7 @@ _CONSTANT_T = 40.0
 # are interchangeable: a later one joins an earlier leader, which stops
 # the restarts, and the tournament skips such a pair
 MERGE_FACTOR = 16
-# held-out draws behind the reported error estimate
+# held-out draws behind the reported error estimate off the exact path
 EVAL_SAMPLES = 100_000
 # small-class draws that replace the query-funded bias ladder when a
 # small-class oracle is given
@@ -245,9 +245,9 @@ _COUNTERS = (
 
 
 def _error_and_se(oracle: MembershipOracle, h: Halfspace, m: int, purpose: str) -> tuple[float, float]:
-    """Held-out error of h on m fresh draws, and its binomial standard error."""
+    """Error of h against the oracle's source, and its standard error (0 when exact)."""
     err = estimate_error(oracle.source, h, m, oracle.seed, purpose)
-    return err, math.sqrt(max(err * (1.0 - err), 1.0 / m) / m)
+    return err, 0.0 if scores_exactly(oracle.source, h) else math.sqrt(max(err * (1.0 - err), 1.0 / m) / m)
 
 
 def learn(

@@ -4,9 +4,9 @@ A LabelSource is the experiment's ground truth: a (possibly randomized)
 labeling rule built around a target halfspace.  A MembershipOracle wraps
 a source with an exact query ledger; every labeled point costs exactly
 one ledger increment, and an optional budget caps the ledger.  The
-evaluation channel (estimate_error) and the small-class sampler keep
-their own counters so reported query complexity reflects only learner
-decisions.
+evaluation channel (estimate_error, exact for a Halfspace against a
+source with a margin law) and the small-class sampler keep their own
+counters so reported query complexity reflects only learner decisions.
 
 WhiteBoxView exposes ground-truth diagnostics (angles, localized
 thresholds, true error).  It exists for tests and reports only; learner
@@ -16,7 +16,7 @@ code never receives one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -26,6 +26,7 @@ from .geometry import (
     AngleDecomposition,
     Halfspace,
     decompose,
+    disagreement_mass,
     halfspace_bias,
     sign_labels,
     sqrt_localization_apply,
@@ -43,7 +44,7 @@ __all__ = [
     "SmallClassOracle",
     "SmallClassUnreachable",
     "WhiteBoxView",
-    "margin_replica",
+    "scores_exactly",
     "localized_query_batch",
     "smoothed_query_batch",
     "estimate_error",
@@ -71,9 +72,7 @@ class LabelSource:
     def margin_law(self) -> tuple[tuple[float, float, float], ...] | None:
         """The negative-label rate as a function of r = w*.x alone, as
         pieces (lo, hi, rate) with the rate constant on each and 0 off
-        them; None when the label law reads x through more than r.  A
-        source with a margin law labels r alone when given the 1-D target
-        sign(r + t*) (``margin_replica``)."""
+        them; None when the label law reads x through more than r."""
         return None
 
 
@@ -249,17 +248,6 @@ def smoothed_query_batch(oracle: MembershipOracle, x0: np.ndarray, rho: float, Z
     return oracle.query_batch(shift * np.asarray(x0, dtype=float) + rho * np.asarray(Z, dtype=float))
 
 
-def margin_replica(source) -> LabelSource | None:
-    """The source's label law on the margin coordinate r = w*.x alone:
-    its class with the 1-D target sign(r + t*), or None when it has no
-    margin law (``LabelSource.margin_law``; a duck-typed source offering
-    only dim and sample_labels has none)."""
-    margin_law = getattr(source, "margin_law", None)
-    if margin_law is None or margin_law() is None:
-        return None
-    return replace(source, target=Halfspace(np.ones(1), source.target.t))
-
-
 class SmallClassUnreachable(RuntimeError):
     """No negative-label point can be drawn: the rejection loop exhausted
     its attempt cap, or a margin law's negative mass underflows to 0."""
@@ -380,35 +368,47 @@ class SmallClassOracle:
 EVAL_BLOCK = 1 << 14
 
 
-def estimate_error(source: LabelSource, h: Halfspace, m: int, seed: int, tag: str = "eval") -> float:
-    """Monte Carlo disagreement of h against the labeling rule.
+def scores_exactly(source, h) -> bool:
+    """Whether estimate_error is exact: h is a Halfspace, the source has a margin law."""
+    return isinstance(h, Halfspace) and getattr(source, "margin_law", lambda: None)() is not None
 
-    Evaluation channel: draws its own points and labels, touching no
-    membership ledger, in blocks of EVAL_BLOCK rows rather than one
-    (m, d) array.  When h is a Halfspace and the source has a margin law,
-    both read x only through p = w*.x and r = u.x, where h.w = a w* + b u
-    (``decompose``), and (p, r) is standard normal: the blocks are then
-    2 columns (p, r), p is labelled by the source's ``margin_replica``
-    and h by sign(a p + b r + t).  A callable h or any other source gets
-    d-dimensional blocks.  Standard error is at most 1/(2 sqrt(m)).
-    """
+
+def _exact_error(source: LabelSource, h: Halfspace) -> float:
+    """Pr(y(x) != h(x)) from the bivariate normal law of (w*.x, h.w.x).  With
+    D(x) the mass where sign(w*.x - x) and h disagree (``disagreement_mass``,
+    by Owen's T; D(-inf) = Pr(h = -1), D(inf) = Pr(h = +1)), it is D(-inf)
+    plus rate (D(hi) - D(lo)) over the law's pieces, gathered by cut, so
+    that for CleanLabels it is D(-t*) = disagreement_mass(target, h) alone."""
+    target = source.target
+
+    def mass(x: float) -> float:
+        if math.isinf(x):
+            return halfspace_bias(h.t if x < 0 else -h.t)
+        # the target's own cut is the target: no renormalized copy of w*
+        return disagreement_mass(target if x == -target.t else Halfspace(target.w, -x), h)
+
+    weights = {-math.inf: 1.0}
+    for lo, hi, rate in source.margin_law():
+        weights[lo] = weights.get(lo, 0.0) - rate
+        weights[hi] = weights.get(hi, 0.0) + rate
+    return sum(k * mass(x) for x, k in weights.items())
+
+
+def estimate_error(source: LabelSource, h: Halfspace, m: int, seed: int, tag: str = "eval") -> float:
+    """Disagreement of h with the labeling rule on the evaluation channel,
+    which touches no membership ledger: exact when ``scores_exactly``,
+    else counted over m fresh draws in blocks of EVAL_BLOCK d-dimensional
+    rows rather than one (m, d) array, with standard error at most
+    1/(2 sqrt(m))."""
     if m < 1:
         raise ValueError("need at least one sample")
+    if scores_exactly(source, h):
+        return _exact_error(source, h)
     rng = substream(seed, tag)
-    replica = margin_replica(source) if isinstance(h, Halfspace) else None
-    if replica is None:
-        width, labels, guess = source.dim, source.sample_labels, h
-    else:
-        dec = decompose(h.w, source.target.w)
-        width, guess = 2, Halfspace(np.array([dec.a, dec.b]), h.t)
-
-        def labels(P, rng):
-            return replica.sample_labels(P[:, :1], rng)
-
     wrong = 0
     for start in range(0, m, EVAL_BLOCK):
-        X = rng.standard_normal((min(EVAL_BLOCK, m - start), width))
-        wrong += int(np.count_nonzero(labels(X, rng) != np.asarray(guess(X))))
+        X = rng.standard_normal((min(EVAL_BLOCK, m - start), source.dim))
+        wrong += int(np.count_nonzero(source.sample_labels(X, rng) != np.asarray(h(X))))
     return wrong / m
 
 

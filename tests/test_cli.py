@@ -203,7 +203,7 @@ class TestMainModes:
         ]) == 0
         header, rows = read_csv(out)
         row = dict(zip(header, rows[0]))
-        assert (row["verdict"], row["total_queries"], row["err_estimate"]) == ("learned", "332816", "0.00039")
+        assert (row["verdict"], row["total_queries"], row["err_estimate"]) == ("learned", "332816", "0.0003928132348")
 
     def test_selftest_mode(self, capsys):
         assert main(["--mode", "selftest"]) == 0
@@ -354,7 +354,7 @@ class TestMainModes:
             learner, "refine", lambda *args, **kwargs: descents.append(refine(*args, **kwargs)) or descents[-1]
         )
         out = tmp_path / "budget.csv"
-        for tstar, err, total in [("1.0", "0.00032", "327519"), ("-1.0", "0.00025", "327519")]:
+        for tstar, err, total in [("1.0", "0.000348967019", "327519"), ("-1.0", "0.0002897447614", "327519")]:
             descents.clear()
             code = main([
                 "--mode", "learn", "--dim", "10", "--tstar", tstar, "--epsilon", "0.02",

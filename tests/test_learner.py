@@ -331,7 +331,9 @@ class TestLearn:
         # or to what the learner queries shows up here as a plain diff
         w = np.eye(20)[0]
         report = learn(MembershipOracle(CleanLabels(Halfspace(w, 1.0)), seed=7), LearnerConfig(epsilon=0.02))
-        assert (report.total_queries, report.restarts_run, report.err_estimate) == (624_335, 2, 0.00038)
+        assert (report.total_queries, report.restarts_run, report.err_estimate) == (
+            624_335, 2, pytest.approx(3.811764013e-4, rel=1e-9)
+        )
         assert len(report.candidates) == 2
         assert report.queries_tournament == 0
         assert report.attempts == (
@@ -461,9 +463,9 @@ class TestLearn:
     def test_learner_reads_no_ground_truth(self):
         # a source with only dim and sample_labels (no target, opt or
         # margin law) gives the same run as the full source.  Only the
-        # evaluation channel tells them apart: it scores the full source on
-        # 2-D margin blocks and the bare one on d-dimensional blocks, so
-        # each error estimate is checked against the exact disagreement
+        # evaluation channel tells them apart: it scores the full source
+        # exactly, with standard error 0, and the bare one by Monte Carlo,
+        # which is checked against the exact disagreement
         class LabelsOnly:
             __slots__ = ("_source",)
 
@@ -491,12 +493,26 @@ class TestLearn:
                 assert x == y, f.name
         assert blind.ledger == full.ledger
         mass = disagreement_mass(a.hypothesis, full.source.target)
-        m = learner.EVAL_SAMPLES
-        se = math.sqrt(max(mass * (1 - mass), 1 / m) / m)
-        for report in (a, b):
-            err = report.err_estimate
-            assert abs(err - mass) <= 4 * se
-            assert report.err_se == math.sqrt(max(err * (1 - err), 1 / m) / m)
+        assert (a.err_estimate, a.err_se) == (pytest.approx(mass, rel=0, abs=1e-12), 0.0)
+        m, err = learner.EVAL_SAMPLES, b.err_estimate
+        assert abs(err - mass) <= 4 * math.sqrt(max(mass * (1 - mass), 1 / m) / m)
+        assert b.err_se == math.sqrt(max(err * (1 - err), 1 / m) / m)
+
+    def test_flipped_run_scores_the_unflipped_hypothesis(self, monkeypatch):
+        # at t* = -1 the negative side is the majority: the run flips the
+        # oracle's labels and, before the final evaluation, un-flips its
+        # hypothesis, whose exact error against the target is reported
+        oracle = make_oracle(t=-1.0, d=6, seed=3)
+        signs, evaluate = [], learner.estimate_error
+        monkeypatch.setattr(
+            learner, "estimate_error", lambda *args: signs.append(oracle.label_sign) or evaluate(*args)
+        )
+        report = learn(oracle, FAST)
+        assert report.verdict == "learned" and report.flipped
+        assert signs == [-1]
+        mass = disagreement_mass(oracle.source.target, report.hypothesis)
+        assert (report.err_estimate, report.err_se) == (mass, 0.0)
+        assert report.err_estimate <= FAST.epsilon
 
     def test_region_flip_off_the_margin_law(self, monkeypatch):
         # labels flipped on half of a thin band around the target boundary,

@@ -1,6 +1,10 @@
+import importlib
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.special import erfcx
+from scipy.special import erfcx, ndtr
 
 from halfspace_lab.geometry import Halfspace, disagreement_mass, halfspace_bias, threshold_for_bias
 from halfspace_lab.oracles import (
@@ -16,11 +20,14 @@ from halfspace_lab.oracles import (
     WhiteBoxView,
     estimate_error,
     localized_query_batch,
+    scores_exactly,
     smoothed_query_batch,
 )
 from halfspace_lab.rng import substream
 
 from conftest import random_halfspace, rotated_from, unit_vector
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def make_oracle(t=0.5, d=4, seed=0, source_cls=CleanLabels, **kwargs):
@@ -326,9 +333,10 @@ class TestEvaluation:
         assert o.ledger == 0
 
     def test_blocks_of_a_large_evaluation(self):
-        # three full blocks and a short one at d = 20: the count over the
-        # blocks estimates the exact disagreement mass, and the ledger of
-        # the oracle whose source is evaluated stays untouched
+        # a callable h is scored by Monte Carlo, in three full blocks and a
+        # short one at d = 20: the count over the blocks estimates the exact
+        # disagreement mass, and the ledger of the oracle whose source is
+        # evaluated stays untouched
         m, d = 3 * EVAL_BLOCK + 17, 20
         rng = substream(11, "eval-blocks")
         w = unit_vector(rng, d)
@@ -349,29 +357,56 @@ class TestEvaluation:
         # and on it at one minus the flip rate
         rate = 0.1
         expected = rate + (1 - 2 * rate) * mass
-        err = estimate_error(RandomFlip(target, rate), h, m, seed=3)
+        blocks.clear()
+        err = estimate_error(RandomFlip(target, rate), recorded, m, seed=3)
+        assert blocks == [(EVAL_BLOCK, d)] * 3 + [(17, d)]
         assert abs(err - expected) <= 4 * np.sqrt(expected * (1 - expected) / m)
 
-    @pytest.mark.parametrize("rate", [0.0, 0.1])
-    def test_margin_law_evaluation_draws_two_columns(self, monkeypatch, rate):
-        # d = 20: a Halfspace against a margin-law source is scored on
-        # (p, r) blocks, p labelled by the 1-D replica, and still
-        # estimates the exact error within 4 SE
-        m, d = 2 * EVAL_BLOCK + 5, 20
-        rng = substream(12, "eval-2d")
-        w = unit_vector(rng, d)
-        target, h = Halfspace(w, 0.7), Halfspace(rotated_from(w, 0.4, rng), 0.2)
-        source = RandomFlip(target, rate) if rate else CleanLabels(target)
-        mass = disagreement_mass(target, h)
-        expected = rate + (1 - 2 * rate) * mass
-        labelled = []
-        sample = type(source).sample_labels
-        monkeypatch.setattr(
-            type(source), "sample_labels", lambda self, X, r: labelled.append(X.shape) or sample(self, X, r)
-        )
-        err = estimate_error(source, h, m, seed=4)
-        assert labelled == [(EVAL_BLOCK, 1)] * 2 + [(5, 1)]
-        assert abs(err - expected) <= 4 * np.sqrt(expected * (1 - expected) / m)
+    @pytest.mark.parametrize(
+        "t_star,t,angle", [(1.0, 0.6, 0.7), (0.8, 0.8, 1e-7), (-0.7, -0.4, 0.3)], ids=["wide", "parallel", "negative"]
+    )
+    def test_margin_law_error_is_exact(self, monkeypatch, t_star, t, angle):
+        # a Halfspace against a margin-law source is scored in closed form,
+        # drawing nothing: checked against bench/reference.py's independent
+        # Owen's T.  The pair lies in the (e1, e2) plane, where renormalizing
+        # h.w, as the reference does, only rescales it: a random direction
+        # in d = 20 would lose the ninth digit of the error at angle 1e-7
+        monkeypatch.syspath_prepend(str(BENCH))
+        reference = importlib.import_module("reference")
+        d, rate, band = 20, 0.1, 0.25
+        e = np.eye(d)
+        target, h = Halfspace(e[0], t_star), Halfspace(math.cos(angle) * e[0] + math.sin(angle) * e[1], t)
+        mass = reference.disagreement(target.w, target.t, h.w, h.t)
+        rho, s, gap = math.cos(angle), math.sin(angle), 2 * math.sin(angle / 2) ** 2
+
+        def below(x):  # P(w*.x < x, h = -1)
+            return reference.bivariate_normal_cdf(x, -t, rho, s, gap)
+
+        # the band: P(h = -1) + sum over its pieces of P(piece) - 2 P(piece, h = -1)
+        in_band = ndtr(-t_star - band) - 2 * below(-t_star - band)
+        in_band += ndtr(-t_star + band) - ndtr(-t_star) - 2 * (below(-t_star + band) - below(-t_star))
+        expected = [
+            (CleanLabels(target), mass),
+            (RandomFlip(target, rate), rate + (1 - 2 * rate) * mass),
+            (BoundaryBand(target, band), ndtr(-t) + in_band),
+        ]
+        for source, err in expected:
+            monkeypatch.setattr(type(source), "sample_labels", None)
+            assert scores_exactly(source, h)
+            assert estimate_error(source, h, 100_000, seed=4) == pytest.approx(err, rel=1e-9, abs=0)
+            assert estimate_error(source, target, 100_000, seed=4) == pytest.approx(source.opt, rel=0, abs=1e-12)
+        assert estimate_error(CleanLabels(target), h, 1, seed=4) == disagreement_mass(target, h)
+
+    def test_exact_error_weighs_each_side_of_h(self):
+        # a law whose negative rate is 0.3 whatever the margin: h errs at
+        # rate 0.3 where it says +1 and 0.7 where it says -1
+        class Coin(CleanLabels):
+            def margin_law(self):
+                return ((-math.inf, math.inf, 0.3),)
+
+        h = Halfspace(np.eye(3)[1], 0.8)
+        err = estimate_error(Coin(Halfspace(np.eye(3)[0], 0.5)), h, 1, seed=0)
+        assert err == pytest.approx(0.3 * ndtr(0.8) + 0.7 * ndtr(-0.8), rel=1e-12)
 
 
 class TestWhiteBox:
