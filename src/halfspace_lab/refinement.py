@@ -117,7 +117,7 @@ class RefineConfig:
     c2: typing.ClassVar[float] = 40.0
     # stop once sigma <= c_stop * epsilon * exp(t'^2 / 2)
     c_stop: float = 1.0
-    grad_samples_multiplier: float = 40.0
+    grad_samples_multiplier: float = 10.0
 
     def __post_init__(self):
         check_fields(self, positive=True)

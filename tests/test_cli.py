@@ -203,7 +203,7 @@ class TestMainModes:
         ]) == 0
         header, rows = read_csv(out)
         row = dict(zip(header, rows[0]))
-        assert (row["verdict"], row["total_queries"], row["err_estimate"]) == ("learned", "332816", "0.0003928132348")
+        assert (row["verdict"], row["total_queries"], row["err_estimate"]) == ("learned", "148846", "0.0002685056911")
 
     def test_selftest_mode(self, capsys):
         assert main(["--mode", "selftest"]) == 0
@@ -321,14 +321,14 @@ class TestMainModes:
 
     def test_budget_spent_in_tournament_exits_2(self, tmp_path, monkeypatch):
         # three restarts, whose candidates' offsets are spread 0.1 apart so
-        # that none joins another, reach the tournament at ledger 550,317;
+        # that none joins another, reach the tournament at ledger 352,420;
         # the vote over their three leaders (260 queries a pair) would end
-        # at 551,097, and the budget refuses its second pair
+        # at 353,200, and the budget refuses its second pair
         monkeypatch.setattr(learner, "refine", spread_offsets(learner.refine, (0.0, 0.1, 0.2)))
         out = tmp_path / "budget.csv"
         code = main([
             "--mode", "learn", "--dim", "10", "--tstar", "1.0", "--epsilon", "0.02",
-            "--seed", "4", "--budget", "550600", "--set", "restarts_per_gridpoint=3",
+            "--seed", "4", "--budget", "352700", "--set", "restarts_per_gridpoint=3",
             "--out", str(out),
         ])
         assert code == 2
@@ -336,10 +336,11 @@ class TestMainModes:
         row = dict(zip(header, rows[0]))
         assert row["verdict"] == "budget"
         assert int(row["queries_tournament"]) > 0
-        assert int(row["total_queries"]) <= 550_600
+        assert int(row["total_queries"]) <= 352_700
 
     def test_spent_oracle_skips_the_tournament(self, tmp_path, monkeypatch):
-        # the budget runs out in the second restart's descent, whose
+        # the budget runs out in the second restart's descent (ledger
+        # 118,886 to 232,707 at t* = 1, 120,083 to 230,760 at t* = -1), whose
         # candidate takes the closed-form offset of its last complete round:
         # no vote can be taken, so the medoid of the candidates by exact
         # disagreement mass wins without sampling a single disagreement
@@ -354,11 +355,11 @@ class TestMainModes:
             learner, "refine", lambda *args, **kwargs: descents.append(refine(*args, **kwargs)) or descents[-1]
         )
         out = tmp_path / "budget.csv"
-        for tstar, err, total in [("1.0", "0.000348967019", "327519"), ("-1.0", "0.0002897447614", "327519")]:
+        for tstar, err, total in [("1.0", "0.0005465144654", "219987"), ("-1.0", "0.0004565183216", "219987")]:
             descents.clear()
             code = main([
                 "--mode", "learn", "--dim", "10", "--tstar", tstar, "--epsilon", "0.02",
-                "--seed", "0", "--budget", "330000", "--set", "restarts_per_gridpoint=2",
+                "--seed", "0", "--budget", "220000", "--set", "restarts_per_gridpoint=2",
                 "--out", str(out),
             ])
             assert code == 2

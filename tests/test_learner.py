@@ -332,13 +332,26 @@ class TestLearn:
         w = np.eye(20)[0]
         report = learn(MembershipOracle(CleanLabels(Halfspace(w, 1.0)), seed=7), LearnerConfig(epsilon=0.02))
         assert (report.total_queries, report.restarts_run, report.err_estimate) == (
-            624_335, 2, pytest.approx(3.811764013e-4, rel=1e-9)
+            290_935, 2, pytest.approx(2.719002722e-4, rel=1e-9)
         )
         assert len(report.candidates) == 2
         assert report.queries_tournament == 0
         assert report.attempts == (
             len(report.candidates) + report.init_failures + report.offset_failures
         )
+
+    @pytest.mark.parametrize("source", [CleanLabels, lambda h: RandomFlip(h, 0.05)], ids=["clean", "rcn"])
+    def test_default_chow_sample_learns_to_a_twentieth_of_eps(self, source):
+        # the learn-refine geometry with one restart: the default Chow
+        # sample must leave the learned halfspace within eps / 20 of the
+        # target, so a default too small to hold the error shows up here
+        worst = 0.0
+        for seed in range(5):
+            target = Halfspace(unit_vector(substream(seed, "learner-setup"), 20), 1.0)
+            report = learn(MembershipOracle(source(target), seed), FAST)
+            assert report.verdict == "learned"
+            worst = max(worst, disagreement_mass(target, report.hypothesis))
+        assert worst <= FAST.epsilon / 20
 
     def test_disagreeing_candidates_run_to_the_cap_and_vote(self, monkeypatch):
         voted = []
@@ -589,14 +602,14 @@ class TestLearn:
     # the unbudgeted learn at d=10, t=1, seed 0 spends 7,039 queries on
     # the probe and bias ladder, then 2,604 per warm start; with three
     # restarts whose candidates' offsets are spread 0.1 apart, so that
-    # none joins another, it reaches the tournament at ledger 512,493, and
-    # the vote over its three leaders (260 queries a pair) ends at 513,273
+    # none joins another, it reaches the tournament at ledger 346,738, and
+    # the vote over its three leaders (260 queries a pair) ends at 347,518
     @pytest.mark.parametrize("budget,restarts,stage", [
         (150, 1, "probe"),
         (2_000, 1, "bias"),
         (8_100, 1, "init"),
         (100_000, 1, "refine"),
-        (512_800, 3, "tournament"),
+        (347_100, 3, "tournament"),
     ])
     def test_budget_is_a_hard_ceiling(self, budget, restarts, stage, monkeypatch):
         monkeypatch.setattr(learner, "refine", spread_offsets(learner.refine, (0.0, 0.1, 0.2)))
@@ -622,10 +635,11 @@ class TestLearn:
         assert report.attempts == produced + report.init_failures + report.offset_failures
 
     def test_budget_stop_in_a_descent_keeps_its_offset(self, monkeypatch):
-        # the budget runs out in the second restart's descent, after some
-        # rounds: that descent's last state, with its last complete round's
-        # closed-form offset, is a candidate taken without a further query,
-        # and it is no offset failure
+        # the budget runs out in the second restart's descent (ledger
+        # 118,886 to 237,495 unbudgeted), after some rounds: that descent's
+        # last state, with its last complete round's closed-form offset, is
+        # a candidate taken without a further query, and it is no offset
+        # failure
         states = []
 
         def spy(*args, **kwargs):
@@ -634,10 +648,10 @@ class TestLearn:
             return h, state
 
         monkeypatch.setattr(learner, "refine", spy)
-        oracle = make_oracle(t=1.0, d=10, seed=0, budget=330_000)
+        oracle = make_oracle(t=1.0, d=10, seed=0, budget=225_000)
         report = learn(oracle, LearnerConfig(epsilon=0.02, restarts_per_gridpoint=2))
         assert report.verdict == "budget"
-        assert oracle.ledger <= 330_000
+        assert oracle.ledger <= 225_000
         assert len(states) == len(report.candidates) == 2
         last = report.candidates[-1]
         assert states[-1].round > 0

@@ -283,6 +283,12 @@ class TestDescent:
         assert (h.w.tolist(), h.t) == (expected.w.tolist(), expected.t)
         assert state.t_cf != state.accepted_offset
 
+
+# the Chow sample these certificate checks were sized for: four times the
+# default, so its radii are about half as wide
+CHOW_40 = RefineConfig(grad_samples_multiplier=40.0)
+
+
 class TestCertificate:
     """Each round's certified sigma against the true angle (WhiteBoxView)."""
 
@@ -296,14 +302,14 @@ class TestCertificate:
         "band": lambda h: BoundaryBand(h, TestCertificate.BAND),
     }
 
-    def one_round(self, kind, seed, epsilon=0.0):
+    def one_round(self, kind, seed, epsilon=0.0, cfg=CHOW_40):
         rng = substream(seed, "certificate")
         w_star = unit_vector(rng, 10)
         oracle = MembershipOracle(self.SOURCES[kind](Halfspace(w_star, 1.0)), seed)
         # any start that meets the invariant sin(theta/2) <= sigma
         w0 = rotated_from(w_star, 2.0 * math.asin(self.SIGMA * rng.uniform(0.02, 0.6)), rng)
         state = RefineState(w=w0, sigma=self.SIGMA, round=3, accepted_offset=math.nan)
-        nxt = refine_round(oracle, state, 1.25, RefineConfig(), 0.1, 100, epsilon=epsilon)
+        nxt = refine_round(oracle, state, 1.25, cfg, 0.1, 100, epsilon=epsilon)
         return WhiteBoxView(oracle.source), w0, nxt
 
     @pytest.mark.parametrize("kind", sorted(SOURCES))
@@ -321,6 +327,18 @@ class TestCertificate:
         # seeds (those whose angle sits well below sigma)
         assert contracted >= 20
 
+    @pytest.mark.parametrize("kind", sorted(SOURCES))
+    def test_default_sample_still_covers_the_true_angle(self, kind):
+        # at the default sample size the certificate engages less often,
+        # but the sigma and the floor it certifies still hold
+        covered = floors_below = 0
+        for seed in range(100):
+            view, w0, nxt = self.one_round(kind, seed, cfg=RefineConfig())
+            covered += view.half_angle_sine(nxt.w) <= nxt.sigma
+            floors_below += nxt.angle_floor <= view.half_angle_sine(w0)
+        assert covered >= 95
+        assert floors_below >= 95
+
     def test_declined_certificate_contracts_by_the_fixed_factor(self):
         cfg = RefineConfig()
         # with noise mass epsilon / NOISE_FACTOR this large, the shift a
@@ -331,10 +349,10 @@ class TestCertificate:
     def test_never_below_the_floor(self):
         oracle, w0, _ = setup_problem(angle=0.01)
         state = RefineState(w=w0, sigma=0.2, round=0, accepted_offset=math.nan)
-        free = refine_round(oracle, state, 1.0, RefineConfig(), 0.1, 10)
+        free = refine_round(oracle, state, 1.0, CHOW_40, 0.1, 10)
         assert free.sigma < 0.15
         oracle, w0, _ = setup_problem(angle=0.01)
-        floored = refine_round(oracle, state, 1.0, RefineConfig(), 0.1, 10, floor=0.15)
+        floored = refine_round(oracle, state, 1.0, CHOW_40, 0.1, 10, floor=0.15)
         assert floored.sigma == 0.15
 
     def test_noise_shift(self):
@@ -365,7 +383,7 @@ class TestEntry:
         # the bound leaves next to no room for flipped labels
         oracle, w0, view = setup_problem(d=8, t=1.0, angle=2.0 * math.asin(0.45), seed=3)
         with pytest.raises(EntryRejected, match="first round bounds"):
-            refine(oracle, w0, 1.0, 1e-4, 0.1, sigma0=0.1)
+            refine(oracle, w0, 1.0, 1e-4, 0.1, CHOW_40, sigma0=0.1)
 
     def test_good_entry_is_kept(self):
         oracle, w0, view = setup_problem(d=8, t=1.0, angle=2.0 * math.asin(0.2), seed=3)
