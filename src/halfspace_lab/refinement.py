@@ -1,17 +1,19 @@
 """Localization-driven projected gradient descent on the sphere.
 
 Each round localizes the query distribution around the current
-direction w at scale sigma, binary-searches the localization offset
-until the localized negative-label rate sits near 1/2 (where the
-gradient signal is strongest), estimates the projected Chow vector of
-the localized concept, and takes a projected gradient step.  sigma is an
-upper bound on sin(theta/2) to the target direction.  Each round
-certifies how far it may fall from the ratio of the Chow estimate's
-components across and along w, which it already pays for; a round whose
-certificate is too weak contracts by the fixed factor 1 - 1/c2.  A
-descent stops at the scale its own accepted offset calls for.  Its
-hypothesis takes the offset read off the negative share of its last
-round's Chow labels, a closed-form estimate of t* that costs no query.
+direction w at scale sigma and at an offset where the localized
+negative-label rate should sit near 1/2 (where the gradient signal is
+strongest), estimates the projected Chow vector of the localized
+concept, and takes a projected gradient step.  sigma is an upper bound
+on sin(theta/2) to the target direction.  Each round certifies how far
+it may fall from the ratio of the Chow estimate's components across and
+along w, which it already pays for; a round whose certificate is too
+weak contracts by the fixed factor 1 - 1/c2.  A descent bisects for its
+offset once, at entry.  After that every round reads the next offset
+off the negative share of its own Chow labels, a closed-form estimate of
+t* that costs no query, and a round whose share left the bias window
+ends the descent.  A descent stops at the scale that offset calls for,
+and its hypothesis takes the last round's offset.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ class OffsetNotFound(RuntimeError):
     """No localization offset put the negative rate inside the bias window.
 
     Signals that sigma undershoots the actual angle, the threshold range
-    is wrong, or noise swamps the window.  The descent that searched
-    then yields no hypothesis.
+    is wrong, or noise swamps the window.  A descent raises it, at entry,
+    as EntryRejected.
     """
 
 
@@ -57,12 +59,10 @@ class EntryRejected(RuntimeError):
     start."""
 
 
-# bisection steers the localized negative rate into this band, where
-# the gradient signal is strongest
+# the entry search steers the localized negative rate into this band,
+# where the gradient signal is strongest, and every round's labels must
+# keep it there
 BIAS_WINDOW = (0.25, 0.75)
-# a collapsed bracket is still accepted if the rate lies in here
-# (the band can be unreachable inside [0, t'] in early rounds)
-VALIDITY_WINDOW = (0.02, 0.98)
 MAX_BISECTION_STEPS = 60
 # bisection stops refining the bracket below this fraction of sigma
 RESOLUTION_FACTOR = 0.25
@@ -128,16 +128,16 @@ class RefineState:
     w: np.ndarray
     sigma: float
     round: int
-    accepted_offset: float
+    # the offset the next round localizes at and a hypothesis from this
+    # state takes: the entry search's offset before any round, the last
+    # round's closed-form estimate of t* after it (nan before the entry
+    # search)
+    t_cf: float
     # lower confidence bound on sin(theta/2) of the direction the last
     # round started from (0 before any round)
     angle_floor: float = 0.0
     # negative share of the last round's Chow labels (nan before any round)
     neg_rate: float = math.nan
-    # the offset a hypothesis from this state takes: the last round's
-    # closed-form estimate of t*, or the entry search's offset before any
-    # round (nan before the entry search)
-    t_cf: float = math.nan
 
 
 def planned_rounds(sigma0: float, sigma_final: float, c2: float) -> int:
@@ -152,21 +152,16 @@ def search_offset(
     sigma: float,
     t_prime: float,
     delta: float,
-    *,
-    strict: bool = False,
-    start: float = math.nan,
 ) -> float:
     """Find an offset whose localized negative-label rate is in-window.
 
     The localized negative rate is monotone increasing in the offset, so
     bisection over [0, t'] converges: a probe whose empirical rate falls
     below the window center raises the lower bracket, above lowers the
-    upper one.  The first probe is at ``start`` when it lies in [0, t']
-    (a descent passes its last accepted offset), else at t'/2.  Each
-    probe is one in/out window check, and the search accepts the first
-    probe in the window.  Once the bracket shrinks below a quarter of
-    sigma without one, it settles for a rate inside VALIDITY_WINDOW
-    unless ``strict``, and fails otherwise.
+    upper one.  The first probe is at t'/2.  Each probe is one in/out
+    window check, and the search accepts the first probe in the window.
+    Once the bracket shrinks below a quarter of sigma without one, it
+    fails.  A descent runs it once, at entry.
     """
     if not (0.0 < sigma <= 0.5):
         raise ValueError("sigma must lie in (0, 1/2]")
@@ -175,8 +170,7 @@ def search_offset(
     delta_probe = delta / MAX_BISECTION_STEPS
     lo_t, hi_t = 0.0, t_prime
     resolution = RESOLUTION_FACTOR * sigma
-    val_lo, val_hi = VALIDITY_WINDOW
-    mid = start if 0.0 <= start <= t_prime else 0.5 * t_prime
+    mid = 0.5 * t_prime
     for _ in range(MAX_BISECTION_STEPS):
 
         def sample(n: int, offset: float = mid) -> np.ndarray:
@@ -188,10 +182,6 @@ def search_offset(
         if result.in_window:
             return mid
         if hi_t - lo_t < resolution:
-            # the target band is unreachable inside [0, t']; settle for
-            # any offset whose rate is at least clearly non-degenerate
-            if not strict and val_lo < result.p_emp < val_hi:
-                return mid
             break
         if result.p_emp < 0.5 * sum(BIAS_WINDOW):
             lo_t = mid
@@ -263,11 +253,12 @@ def refine_round(
     """One localize / re-center / gradient-step round that certifies its
     own next sigma.
 
-    The round estimates the localized Chow mean g at the in-window offset
-    t~ and steps w along g_perp = g - (g.w) w with step mu = sigma / c1.
-    For any label law that depends on x only through w*.x (clean, random
-    flips, a margin band), E g is parallel to the localized target's
-    normal (a sigma w + b u) with a = cos theta, b = sin theta, so
+    The round estimates the localized Chow mean g at the state's offset
+    t~ = ``state.t_cf``, with no search, and steps w along
+    g_perp = g - (g.w) w with step mu = sigma / c1.  For any label law
+    that depends on x only through w*.x (clean, random flips, a margin
+    band), E g is parallel to the localized target's normal
+    (a sigma w + b u) with a = cos theta, b = sin theta, so
     ||E g_perp|| / E g.w = tan(theta) / sigma.  Take the radii of
     ``chow_radii`` with delta split over the total_rounds + 1 rounds, as
     ``gradient_sample_size`` does, and widen both by ``noise_shift``,
@@ -287,19 +278,20 @@ def refine_round(
     (1 - 1/c2) sigma when g.w <= r_v + shift, and never below
     ``floor``.  The matching lower bound on tan(theta) gives
     ``angle_floor``, a lower confidence bound on sin(theta/2) of the
-    direction the round started from.  The offset search starts from
-    the last accepted offset.  ``buffers``, two (m, d) float arrays with
-    m = ``gradient_sample_size``, receive the round's Gaussian draws and
-    its query points in place of fresh arrays, which changes no value.
+    direction the round started from.  ``buffers``, two (m, d) float
+    arrays with m = ``gradient_sample_size``, receive the round's
+    Gaussian draws and its query points in place of fresh arrays, which
+    changes no value.
 
-    The same labels give the offset estimate.  For margin-law labels
+    The same labels give the next round's offset.  For margin-law labels
     the localized negative rate is Phi((t~ cos theta - t*) /
     sqrt(sigma^2 cos^2 theta + sin^2 theta)), which is Phi((t~ - t*) /
     sigma) once theta << sigma, so with p^ the labels' negative share,
     ``t_cf`` = t~ - sigma ndtri(p^), clamped to [0, t'], estimates t*.
+    ``neg_rate`` = p^ lets the caller check that t~ was in-window.
     """
     sigma = state.sigma
-    t_tilde = search_offset(oracle, state.w, sigma, t_prime, delta, start=state.accepted_offset)
+    t_tilde = state.t_cf
     m = gradient_sample_size(state.w.shape[0], total_rounds, cfg, delta)
     Z, X = buffers or (None, None)
     Z = oracle.gaussian_points(m, out=Z)
@@ -330,7 +322,6 @@ def refine_round(
         w=w_next,
         sigma=max(floor, sigma_next),
         round=state.round + 1,
-        accepted_offset=t_tilde,
         angle_floor=math.sin(0.5 * math.atan(tan_lo)),
         neg_rate=neg_rate,
         t_cf=min(max(t_tilde - sigma * float(ndtri(neg_rate)), 0.0), t_prime),
@@ -354,31 +345,33 @@ def refine(
 ) -> tuple[Halfspace | None, RefineState]:
     """One descent from w0 with the offset bracket [0, t_top].
 
-    The rounds start at sigma0 (default min(1/t_top, 1/2)), each
-    certifying its own next sigma, and run while sigma exceeds the stop
-    scale of the last accepted offset t~, sigma_stop(t~) = min(sigma0,
-    c_stop eps exp(t~^2 / 2)), which each round takes as its floor, so
-    the descent lands on it.  The accepted offset tracks t* whenever
-    t_top >= t*, so the bracket does the threshold grid's work.  The
-    planned rounds of the fixed 1 - 1/c2 schedule down to the smallest
-    stop scale, sigma_stop(0), size each round's samples and cap the
-    descent's length.  The hypothesis is Halfspace(w, t_cf) of the last
-    round, whose offset is read off that round's Chow labels without a
-    further query, or None when their negative share p^ lies outside
-    BIAS_WINDOW (t_cf is then no estimate of t*).  A descent that runs
-    no round takes its entry search's offset.
+    The descent runs one ``search_offset`` at (w0, sigma0), its only
+    search, and rejects its warm start (EntryRejected) when no offset in
+    [0, t_top] gets an in-window verdict there.  The first round runs at
+    that offset, and each later round at the last round's closed-form
+    offset t_cf, which tracks t* whenever t_top >= t*, so the bracket
+    does the threshold grid's work.  The rounds start at sigma0 (default
+    min(1/t_top, 1/2)), each certifying its own next sigma, and run
+    while sigma exceeds the stop scale of the state's offset,
+    sigma_stop(t_cf) = min(sigma0, c_stop eps exp(t_cf^2 / 2)).  Each
+    round takes the stop scale of the offset it runs at as its floor, so
+    the descent lands on it.  The planned rounds of the fixed 1 - 1/c2
+    schedule down to the smallest stop scale, sigma_stop(0), size each
+    round's samples and cap the descent's length.  The hypothesis is
+    Halfspace(w, t_cf) of the last round, whose offset is read off that
+    round's Chow labels without a further query.  A descent that runs no
+    round takes its entry search's offset.
 
-    Every descent starts with a strict ``search_offset`` at (w0,
-    sigma0), and rejects its warm start (EntryRejected) when no offset
-    in [0, t_top] gets an in-window verdict there, or when its first
-    round's lower confidence bound on sin(theta/2) exceeds sigma0.  A
-    round whose own offset search fails ends the descent with None.  The
-    oracle refusing a query (BudgetExceeded) also ends it: it returns
-    the state after its last complete round and, once the entry search
-    has accepted an offset, Halfspace(w, t_cf) of that state.  Every
-    round draws m = ``gradient_sample_size`` points, so the descent
-    allocates the rounds' two (m, d) arrays once and each round refills
-    them.
+    A first round whose lower confidence bound on sin(theta/2) exceeds
+    sigma0 also rejects the warm start.  A round whose Chow labels have
+    a negative share p^ outside BIAS_WINDOW ran at an offset that was
+    not in-window, so its t_cf is no estimate of t*: it ends the descent
+    with None.  The oracle refusing a query (BudgetExceeded) also ends
+    it: it returns the state after its last complete round and, once
+    the entry search has accepted an offset, Halfspace(w, t_cf) of that
+    state.  Every round draws m = ``gradient_sample_size`` points, so
+    the descent allocates the rounds' two (m, d) arrays once and each
+    round refills them.
     """
     cfg = cfg or RefineConfig()
     if sigma0 is None:
@@ -388,18 +381,17 @@ def refine(
         return min(sigma0, cfg.c_stop * epsilon * math.exp(t * t / 2.0))
 
     total = planned_rounds(sigma0, stop_scale(0.0), cfg.c2)
-    state = RefineState(w=np.asarray(w0, dtype=float), sigma=sigma0, round=0, accepted_offset=math.nan)
+    state = RefineState(w=np.asarray(w0, dtype=float), sigma=sigma0, round=0, t_cf=math.nan)
     try:
         # entry: the warm start must put the localized rate in the bias
-        # window at sigma0; the first round's search starts there
+        # window at sigma0; the first round runs there
         try:
-            t_entry = search_offset(oracle, state.w, sigma0, t_top, delta, strict=True)
+            state = replace(state, t_cf=search_offset(oracle, state.w, sigma0, t_top, delta))
         except OffsetNotFound as exc:
             raise EntryRejected(f"entry: {exc}") from exc
-        state = replace(state, accepted_offset=t_entry, t_cf=t_entry)
         shape = (gradient_sample_size(state.w.shape[0], total, cfg, delta), state.w.shape[0])
         buffers = (np.empty(shape), np.empty(shape))
-        while state.round < total and state.sigma > (floor := stop_scale(state.accepted_offset)):
+        while state.round < total and state.sigma > (floor := stop_scale(state.t_cf)):
             state = refine_round(
                 oracle, state, t_top, cfg, delta, total, epsilon=epsilon, floor=floor, buffers=buffers
             )
@@ -407,10 +399,8 @@ def refine(
                 raise EntryRejected(
                     f"first round bounds sin(theta/2) >= {state.angle_floor:.3g} > sigma0 {sigma0:.3g}"
                 )
-        if state.round > 0 and not BIAS_WINDOW[0] < state.neg_rate < BIAS_WINDOW[1]:
-            return None, state
-    except OffsetNotFound:
-        return None, state
+            if not BIAS_WINDOW[0] < state.neg_rate < BIAS_WINDOW[1]:
+                return None, state
     except BudgetExceeded:
         pass
     if math.isnan(state.t_cf):

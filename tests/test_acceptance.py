@@ -193,14 +193,15 @@ def test_criterion_07_refinement_contraction():
         w0 = rotated_from(oracle.source.target.w, 2.0 * math.asin(0.45), rng)
         sigma_final = min(sigma0, eps * math.exp(t_star ** 2 / 2.0))
         total = planned_rounds(sigma0, sigma_final, cfg.c2)
-        state = RefineState(w=w0, sigma=sigma0, round=0,
-                            accepted_offset=math.nan)
+        # start at the midpoint of the bracket [0, t*], where the entry
+        # search makes its first probe: no ground truth enters the offset
+        state = RefineState(w=w0, sigma=sigma0, round=0, t_cf=0.5 * t_star)
         invariant = view.half_angle_sine(state.w) <= state.sigma
         for _ in range(total):
             state = refine_round(oracle, state, t_star, cfg, 0.1, total)
             invariant = invariant and view.half_angle_sine(state.w) <= state.sigma
         invariant_hits += int(invariant)
-        err = view.true_error(Halfspace(state.w, state.accepted_offset), seed=seed)
+        err = view.true_error(Halfspace(state.w, state.t_cf), seed=seed)
         error_hits += int(err <= 5.0 * eps)
     elapsed = time.monotonic() - t0
     ok = invariant_hits >= 90 and error_hits >= 90 and elapsed < 120.0

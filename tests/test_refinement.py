@@ -9,15 +9,12 @@ import halfspace_lab.oracles as oracles
 import halfspace_lab.refinement as refinement
 from halfspace_lab.geometry import Halfspace
 from halfspace_lab.oracles import BoundaryBand, CleanLabels, MembershipOracle, RandomFlip, WhiteBoxView
-from halfspace_lab.estimation import window_check_samples
 from halfspace_lab.refinement import (
     BIAS_WINDOW,
-    MAX_BISECTION_STEPS,
     EntryRejected,
     OffsetNotFound,
     RefineConfig,
     RefineState,
-    VALIDITY_WINDOW,
     entry_scale,
     gradient_sample_size,
     noise_shift,
@@ -37,6 +34,13 @@ def setup_problem(d=8, t=1.0, angle=0.9, seed=0):
     w0 = rotated_from(w_star, angle, rng)
     oracle = MembershipOracle(CleanLabels(Halfspace(w_star, t)), seed)
     return oracle, w0, WhiteBoxView(oracle.source)
+
+
+def entry_state(oracle, w, sigma, t_prime, round=0, delta=0.1):
+    """The state a descent hands its first round, as ``refine`` builds it:
+    the offset of the entry search at (w, sigma) over [0, t_prime]."""
+    t_cf = search_offset(oracle, w, sigma, t_prime, delta)
+    return RefineState(w=w, sigma=sigma, round=round, t_cf=t_cf)
 
 
 class TestConfig:
@@ -68,11 +72,11 @@ class TestSearchOffset:
         oracle, w0, view = setup_problem(angle=0.4)
         t_tilde = search_offset(oracle, w0, 0.5, 1.0, delta=0.1)
         assert 0.0 <= t_tilde <= 1.0
-        # white-box: the hidden localized negative rate is non-degenerate
+        # white-box: the hidden localized negative rate is in the bias window
         from halfspace_lab.geometry import halfspace_bias
 
         rate = halfspace_bias(view.localized_threshold(w0, 0.5, t_tilde))
-        assert VALIDITY_WINDOW[0] < rate < VALIDITY_WINDOW[1]
+        assert BIAS_WINDOW[0] < rate < BIAS_WINDOW[1]
 
     def test_impossible_geometry_raises(self):
         # a target so far out that no offset in [0, t'] produces negatives
@@ -82,23 +86,13 @@ class TestSearchOffset:
 
     def test_strict_search_needs_the_bias_window(self):
         # a bracket [0, t'] below t* under rcn flips: the localized rate
-        # stays near the flip rate, inside the validity window but never in
-        # the bias window, so only the lenient search settles for an offset
+        # stays near the flip rate, never in the bias window, and the
+        # search settles for no other offset
         oracle, _, _ = setup_problem(t=1.0)
         target = oracle.source.target
         noisy = MembershipOracle(RandomFlip(target, 0.05), 0)
-        t_hat = search_offset(noisy, target.w, 0.05, 0.7, delta=0.1)
-        assert 0.7 - 0.05 <= t_hat <= 0.7
         with pytest.raises(OffsetNotFound):
-            search_offset(noisy, target.w, 0.05, 0.7, delta=0.1, strict=True)
-
-    def test_search_starts_at_the_given_offset(self):
-        # an in-window start is accepted with a single window check
-        oracle, _, _ = setup_problem(t=1.0)
-        target = oracle.source.target
-        t_hat = search_offset(oracle, target.w, 0.05, 2.0, delta=0.1, start=1.0)
-        assert t_hat == 1.0
-        assert oracle.ledger == window_check_samples(*BIAS_WINDOW, 0.1 / MAX_BISECTION_STEPS)
+            search_offset(noisy, target.w, 0.05, 0.7, delta=0.1)
 
     def test_rejects_bad_sigma(self):
         oracle, w0, _ = setup_problem()
@@ -110,7 +104,7 @@ class TestRefineRound:
     def test_round_contracts_sigma_and_keeps_unit_norm(self):
         oracle, w0, _ = setup_problem(angle=0.4)
         cfg = RefineConfig()
-        state = RefineState(w=w0, sigma=0.5, round=0, accepted_offset=math.nan)
+        state = entry_state(oracle, w0, 0.5, 1.0)
         nxt = refine_round(oracle, state, 1.0, cfg, delta=0.1, total_rounds=10)
         assert nxt.sigma == pytest.approx((1 - 1 / cfg.c2) * 0.5)
         assert nxt.round == 1
@@ -118,7 +112,7 @@ class TestRefineRound:
 
     def test_round_decreases_angle(self):
         oracle, w0, view = setup_problem(angle=0.9, seed=4)
-        state = RefineState(w=w0, sigma=0.5, round=0, accepted_offset=math.nan)
+        state = entry_state(oracle, w0, 0.5, 1.0)
         nxt = refine_round(oracle, state, 1.0, RefineConfig(), delta=0.1, total_rounds=10)
         assert view.half_angle_sine(nxt.w) < view.half_angle_sine(w0)
 
@@ -131,7 +125,7 @@ class TestRefineRound:
             oracle, w0, _ = setup_problem(angle=0.4, seed=6)
             shape = (gradient_sample_size(w0.shape[0], 10, cfg, 0.1), w0.shape[0])
             buffers = (np.full(shape, np.nan), np.full(shape, np.nan)) if buffered else None
-            state = RefineState(w=w0, sigma=0.5, round=0, accepted_offset=math.nan)
+            state = entry_state(oracle, w0, 0.5, 1.0)
             results.append((refine_round(oracle, state, 1.0, cfg, 0.1, 10, buffers=buffers), oracle.ledger))
         (fresh, ledger_fresh), (buffered, ledger_buffered) = results
         assert ledger_fresh == ledger_buffered
@@ -156,17 +150,17 @@ class TestRefine:
         h, state = refine(oracle, w0, 1.0, 0.9, 0.1, sigma0=0.4)
         assert state.round == 0
         assert math.isfinite(h.t)
-        assert h.t == state.accepted_offset == state.t_cf
+        assert h.t == state.t_cf
         assert np.array_equal(h.w, w0)
 
     @pytest.mark.parametrize("t_star,t_top,clamped", [(1.0, 0.7, 0.7), (-0.3, 1.0, 0.0)])
     def test_closed_form_offset_is_clamped(self, t_star, t_top, clamped):
-        # under rcn flips the lenient search settles at a collapsed bracket
-        # end whose rate is near the flip rate (or one minus it), and the
-        # closed form points past that end of [0, t_top]
+        # a round at the end of [0, t_top] nearest t*, under rcn flips: the
+        # rate there is near the flip rate (or one minus it), and the
+        # closed form points past that end
         target = Halfspace(np.eye(8)[0], t_star)
         oracle = MembershipOracle(RandomFlip(target, 0.05), 0)
-        state = RefineState(w=target.w, sigma=0.05, round=0, accepted_offset=math.nan)
+        state = RefineState(w=target.w, sigma=0.05, round=0, t_cf=clamped)
         nxt = refine_round(oracle, state, t_top, RefineConfig(), 0.1, 10)
         assert min(nxt.neg_rate, 1.0 - nxt.neg_rate) < 0.1
         assert nxt.t_cf == clamped
@@ -180,6 +174,16 @@ class TestDescent:
 
     def stop_scale(self, t, sigma0, cfg):
         return min(sigma0, cfg.c_stop * self.EPS * math.exp(t * t / 2.0))
+
+    @staticmethod
+    def spy_searches(monkeypatch):
+        """Record the offset each ``search_offset`` call returns."""
+        found = []
+        search = refinement.search_offset
+        monkeypatch.setattr(
+            refinement, "search_offset", lambda *args, **kwargs: found.append(search(*args, **kwargs)) or found[-1]
+        )
+        return found
 
     def test_rounds_refill_the_descents_two_arrays(self, monkeypatch):
         # every round draws its Chow points into one array and maps them to
@@ -212,19 +216,26 @@ class TestDescent:
         oracle, w0, view = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
         cfg = RefineConfig()
         sigma0 = entry_scale(self.T_TOP)
-        # (sigma, accepted offset) each round starts from
+        # (sigma, offset) each round starts from
         started = []
 
         def spy(oracle, state, *args, **kwargs):
-            started.append((state.sigma, state.accepted_offset))
+            started.append((state.sigma, state.t_cf))
             return refine_round(oracle, state, *args, **kwargs)
 
         monkeypatch.setattr(refinement, "refine_round", spy)
+        searches = self.spy_searches(monkeypatch)
         h, state = refine(oracle, w0, self.T_TOP, self.EPS, 0.1, cfg)
-        # the descent lands exactly on the stop scale of its last accepted
-        # offset; every round, the last one included, started above the
-        # stop scale of the offset it started from
-        assert state.sigma == self.stop_scale(state.accepted_offset, sigma0, cfg)
+        # one offset search, at entry: every round runs at the offset the
+        # state carries, and the first at the entry search's
+        [t_entry] = searches
+        assert started[0][1] == t_entry
+        # the descent lands exactly on the stop scale of the offset its last
+        # round ran at, and ends since sigma is no longer above the stop
+        # scale of the offset that round read off; every round, the last
+        # one included, started above the stop scale of its offset
+        assert state.sigma == self.stop_scale(started[-1][1], sigma0, cfg)
+        assert state.sigma <= self.stop_scale(state.t_cf, sigma0, cfg)
         assert started[-1][0] > state.sigma
         assert all(sigma > self.stop_scale(t, sigma0, cfg) for sigma, t in started)
         # no longer than the fixed 1 - 1/c2 schedule down to the smallest stop scale
@@ -232,8 +243,8 @@ class TestDescent:
         assert view.half_angle_sine(h.w) <= state.sigma
 
     def test_bracket_above_the_target_finds_its_offset(self):
-        # the bracket [0, 1.6] reaches well past t* = 1: the accepted offset
-        # still tracks t*, and the final search puts t_hat within sigma of it
+        # the bracket [0, 1.6] reaches well past t* = 1: the closed-form
+        # offset still tracks t*, and puts t_hat within sigma of it
         oracle, w0, view = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
         h, state = refine(oracle, w0, 1.6, self.EPS, 0.1)
         assert abs(h.t - 1.0) <= state.sigma
@@ -242,13 +253,18 @@ class TestDescent:
 
     def test_points_below_target_fail_alone(self):
         # a bracket that stops short of t* yields no hypothesis: just short,
-        # the descent runs rounds and ends without one; further short, it
-        # may already find no in-window offset at entry.  The same warm
-        # start with a bracket past t* learns
+        # the descent runs rounds until a round's labels leave the bias
+        # window, and ends without one; further short, it may already find
+        # no in-window offset at entry.  The same warm start with a bracket
+        # past t* learns
         oracle, w0, _ = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
         h, state = refine(oracle, w0, 0.875, self.EPS, 0.1)
         assert h is None
         assert state.round > 0
+        assert not BIAS_WINDOW[0] < state.neg_rate < BIAS_WINDOW[1]
+        # the failing round ends the descent: it stops well short of the
+        # planned rounds' cost
+        assert oracle.ledger <= 50_000
         oracle, w0, _ = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
         try:
             h, _ = refine(oracle, w0, 0.75, self.EPS, 0.1)
@@ -263,25 +279,20 @@ class TestDescent:
         oracle, w0, _ = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
         cap = 50_000
         oracle.budget = cap
-        searches = []
-        search = refinement.search_offset
-        monkeypatch.setattr(
-            refinement, "search_offset",
-            lambda *args, **kwargs: searches.append(oracle.ledger) or search(*args, **kwargs),
-        )
+        searches = self.spy_searches(monkeypatch)
         h, state = refine(oracle, w0, self.T_TOP, self.EPS, 0.1)
         # the oracle refused a batch mid-round: the descent returns the
         # rounds it completed, charges nothing past the budget, and takes
-        # its last complete round's closed-form offset, not the bisection
-        # midpoint that round accepted, as the hypothesis without a search
+        # its last complete round's closed-form offset as the hypothesis
+        # without a search
         assert oracle.spent
         assert state.round > 0
         assert oracle.ledger <= cap
-        # the entry search, one per completed round and the interrupted round's
-        assert len(searches) == 1 + state.round + 1
+        # the entry search is the descent's only one
+        [t_entry] = searches
         expected = Halfspace(state.w, state.t_cf)
         assert (h.w.tolist(), h.t) == (expected.w.tolist(), expected.t)
-        assert state.t_cf != state.accepted_offset
+        assert state.t_cf != t_entry
 
 
 # the Chow sample these certificate checks were sized for: four times the
@@ -308,7 +319,7 @@ class TestCertificate:
         oracle = MembershipOracle(self.SOURCES[kind](Halfspace(w_star, 1.0)), seed)
         # any start that meets the invariant sin(theta/2) <= sigma
         w0 = rotated_from(w_star, 2.0 * math.asin(self.SIGMA * rng.uniform(0.02, 0.6)), rng)
-        state = RefineState(w=w0, sigma=self.SIGMA, round=3, accepted_offset=math.nan)
+        state = entry_state(oracle, w0, self.SIGMA, 1.25, round=3)
         nxt = refine_round(oracle, state, 1.25, cfg, 0.1, 100, epsilon=epsilon)
         return WhiteBoxView(oracle.source), w0, nxt
 
@@ -348,10 +359,11 @@ class TestCertificate:
 
     def test_never_below_the_floor(self):
         oracle, w0, _ = setup_problem(angle=0.01)
-        state = RefineState(w=w0, sigma=0.2, round=0, accepted_offset=math.nan)
+        state = entry_state(oracle, w0, 0.2, 1.0)
         free = refine_round(oracle, state, 1.0, CHOW_40, 0.1, 10)
         assert free.sigma < 0.15
         oracle, w0, _ = setup_problem(angle=0.01)
+        state = entry_state(oracle, w0, 0.2, 1.0)
         floored = refine_round(oracle, state, 1.0, CHOW_40, 0.1, 10, floor=0.15)
         assert floored.sigma == 0.15
 
