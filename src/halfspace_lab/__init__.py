@@ -16,6 +16,7 @@ from .geometry import (
 from .oracles import (
     BoundaryBand,
     CleanLabels,
+    GaussianLaw,
     MembershipOracle,
     RandomFlip,
     RegionFlip,

@@ -1,10 +1,11 @@
 """Query-frugal statistical estimators.
 
-Three tools the learner leans on everywhere: a geometric-ladder bias
-estimator that brackets the minority-class mass p in about 1,120/p
-queries by growing one sample per repetition down the ladder, an in/out
-Hoeffding window check for probabilities, and the empirical Chow vector
-estimator that doubles as the gradient oracle.
+Three tools: a geometric-ladder bias estimator that brackets the
+minority-class mass p in about 1,120/p queries by growing one sample per
+repetition down the ladder, an in/out Hoeffding window check for
+probabilities, and the empirical Chow vector estimator over given
+points (the learner's Chow means come from the oracle's Gaussian
+channel, ``MembershipOracle.gaussian_queries``).
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def estimate_bias_doubling(
             return BiasEstimate("small", p_hat, oracle.ledger - start)
         n_next = math.ceil(SAMPLES_PER_LEVEL / p_hat)
         for r in range(reps):
-            labels = oracle.query_batch(oracle.gaussian_points(n_next - n))
+            labels = oracle.gaussian_queries(n_next - n).labels
             counts[r] += int(np.count_nonzero(labels == -1))
         n = n_next
         threshold = LADDER_THRESHOLD_FACTOR * p_hat * n

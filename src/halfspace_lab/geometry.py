@@ -173,15 +173,14 @@ def decompose(target: np.ndarray, reference: np.ndarray) -> AngleDecomposition:
     return AngleDecomposition(a=a, b=b, u=residual / b)
 
 
-def sqrt_localization_apply(v: np.ndarray, sigma: float, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Apply A^{1/2} = I - (1 - sigma) v v^T to z (single point or (n, d)
-    batch); a batch's result is written into ``out`` when given."""
+def sqrt_localization_apply(v: np.ndarray, sigma: float, z: np.ndarray) -> np.ndarray:
+    """Apply A^{1/2} = I - (1 - sigma) v v^T to z (single point or (n, d) batch)."""
     if not (0.0 < sigma <= 1.0):
         raise ValueError("sigma must lie in (0, 1]")
     z = np.asarray(z, dtype=float)
     if z.ndim == 1:
         return z - (1.0 - sigma) * float(np.dot(v, z)) * v
-    out = np.multiply((z @ v)[:, None], (sigma - 1.0) * np.asarray(v, dtype=float), out=out)
+    out = np.multiply((z @ v)[:, None], (sigma - 1.0) * np.asarray(v, dtype=float))
     out += z
     return out
 

@@ -302,7 +302,7 @@ def _learn(oracle: MembershipOracle, cfg: LearnerConfig, small_class: SmallClass
 
     try:
         # orientation probe: flip the labels when the negative side is the majority
-        probe = oracle.query_batch(oracle.gaussian_points(200))
+        probe = oracle.gaussian_queries(200).labels
         flipped = bool(np.mean(probe == -1) > 0.5)
         oracle.label_sign = -1 if flipped else 1
         sc = None if flipped else small_class

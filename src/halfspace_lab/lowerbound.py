@@ -38,7 +38,8 @@ class Pool:
     revealed: set = field(default_factory=set)
 
     def __post_init__(self):
-        self._labels = np.asarray(self.target(self.points))
+        # a list: a reveal reads one label, and a list hands out a Python int
+        self._labels = np.asarray(self.target(self.points)).tolist()
 
     @property
     def size(self) -> int:
@@ -48,7 +49,7 @@ class Pool:
         if i in self.revealed:
             raise ValueError(f"index {i} already revealed")
         self.revealed.add(i)
-        return int(self._labels[i])
+        return self._labels[i]
 
 
 def near_isometry_stat(
@@ -105,9 +106,9 @@ def negative_capture_prob(
 
 
 class _Walk:
-    """Reveals pool points along a fixed order, built once per pool,
-    skipping the points already revealed.  The caller reveals each
-    index it is handed."""
+    """Reveals pool points along a fixed order, built once per pool as a
+    list of indices, skipping the points already revealed.  The caller
+    reveals each index it is handed."""
 
     def __init__(self):
         self._pool = None
@@ -117,9 +118,9 @@ class _Walk:
 
     def next(self, pool: Pool, negatives: list[int]) -> int:
         if pool is not self._pool:
-            self._pool, self._seq, self._pos = pool, self._order(pool), 0
+            self._pool, self._seq, self._pos = pool, self._order(pool).tolist(), 0
         while self._pos < pool.size:
-            i = int(self._seq[self._pos])
+            i = self._seq[self._pos]
             self._pos += 1
             if i not in pool.revealed:
                 return i

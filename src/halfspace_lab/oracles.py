@@ -3,10 +3,13 @@
 A LabelSource is the experiment's ground truth: a (possibly randomized)
 labeling rule built around a target halfspace.  A MembershipOracle wraps
 a source with an exact query ledger; every labeled point costs exactly
-one ledger increment, and an optional budget caps the ledger.  The
-evaluation channel (estimate_error, exact for a Halfspace against a
-source with a margin law) and the small-class sampler keep their own
-counters so reported query complexity reflects only learner decisions.
+one ledger increment, and an optional budget caps the ledger.  Learner
+batches of Gaussian queries go through the oracle's one channel,
+``gaussian_queries``, which for a source with a margin law draws only
+the coordinates the labels read.  The evaluation channel
+(estimate_error, exact for a Halfspace against a source with a margin
+law) and the small-class sampler keep their own counters so reported
+query complexity reflects only learner decisions.
 
 WhiteBoxView exposes ground-truth diagnostics (angles, localized
 thresholds, true error).  It exists for tests and reports only; learner
@@ -40,6 +43,8 @@ __all__ = [
     "BoundaryBand",
     "RegionFlip",
     "BudgetExceeded",
+    "GaussianLaw",
+    "GaussianBatch",
     "MembershipOracle",
     "SmallClassOracle",
     "SmallClassUnreachable",
@@ -173,6 +178,74 @@ class BudgetExceeded(RuntimeError):
     """A membership query would have taken the ledger past its budget."""
 
 
+def _margin_law(source):
+    """The source's ``margin_law()``, or None for a source without one."""
+    return getattr(source, "margin_law", lambda: None)()
+
+
+def _span_basis(w_star: np.ndarray, v: np.ndarray | None) -> np.ndarray:
+    """Orthonormal rows spanning w* and, when given, the unit vector v
+    (v first): v, then w*'s part off v, orthogonalized twice, unless that
+    part is below rounding."""
+    if v is None:
+        return w_star[None, :]
+    u = w_star - (w_star @ v) * v
+    u -= (u @ v) * v
+    norm = float(np.linalg.norm(u))
+    return v[None, :] if norm <= 1e-12 else np.stack([v, u / norm])
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianLaw:
+    """The law of a batch of Gaussian queries: x = c + rho A^{1/2} z with
+    z ~ N(0, I_d) and A^{1/2} = I - (1 - sigma) v v^T.
+
+    ``GaussianLaw()`` is N(0, I) itself, ``smoothed(x0, rho)`` is centred
+    at sqrt(1 - rho^2) x0, and ``localized(v, s, sigma)`` has variance
+    sigma^2 along the unit vector v and mean -s v.  A batch's Chow mean
+    reads z, not x.
+    """
+
+    center: np.ndarray | None = None
+    rho: float = 1.0
+    v: np.ndarray | None = None
+    sigma: float = 1.0
+
+    @classmethod
+    def smoothed(cls, x0: np.ndarray, rho: float) -> "GaussianLaw":
+        if not (0.0 < rho <= 1.0):
+            raise ValueError("rho must lie in (0, 1]")
+        return cls(center=math.sqrt(max(0.0, 1.0 - rho * rho)) * np.asarray(x0, dtype=float), rho=rho)
+
+    @classmethod
+    def localized(cls, v: np.ndarray, s: float, sigma: float) -> "GaussianLaw":
+        if not (0.0 < sigma < 1.0):
+            raise ValueError("sigma must lie in (0, 1)")
+        v = np.asarray(v, dtype=float)
+        return cls(center=-s * v, v=v, sigma=sigma)
+
+    def linear(self, Z: np.ndarray) -> np.ndarray:
+        """rho A^{1/2} z for each row z of Z."""
+        X = Z if self.v is None else sqrt_localization_apply(self.v, self.sigma, Z)
+        return X if self.rho == 1.0 else self.rho * X
+
+    def points(self, Z: np.ndarray) -> np.ndarray:
+        """The query point c + rho A^{1/2} z of each row z of Z."""
+        X = self.linear(np.asarray(Z, dtype=float))
+        return X if self.center is None else X + self.center
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianBatch:
+    """What ``MembershipOracle.gaussian_queries`` answers."""
+
+    labels: np.ndarray
+    # (1/n) sum of labels_i z_i, when asked for
+    chow: np.ndarray | None
+    # point(i): query i's full d-dimensional point
+    point: Callable[[int], np.ndarray]
+
+
 @dataclass
 class MembershipOracle:
     """Label access with an exact ledger: one increment per labeled point.
@@ -222,30 +295,59 @@ class MembershipOracle:
         self._charge(X.shape[0])
         return self.label_sign * self.source.sample_labels(X, self._rng)
 
-    def gaussian_points(self, n: int, dim: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    def gaussian_points(self, n: int, dim: int | None = None) -> np.ndarray:
         """Fresh standard Gaussian points (no ledger cost until queried),
-        in ``dim`` dimensions (default: the source's).  With ``out``, an
-        (n, dim) float array, they are written into it and it is returned."""
-        return self._gauss.standard_normal((n, self.source.dim if dim is None else dim), out=out)
+        in ``dim`` dimensions (default: the source's)."""
+        return self._gauss.standard_normal((n, self.source.dim if dim is None else dim))
+
+    def gaussian_queries(self, n: int, law: GaussianLaw = GaussianLaw(), chow: bool = False) -> GaussianBatch:
+        """Labels of n fresh queries from ``law``, at n ledger increments
+        through ``query_batch``, and with ``chow`` their Chow mean.
+
+        A source with a margin law (the test ``scores_exactly`` makes)
+        labels x through r = w*.x alone, and r reads z only through its
+        coordinates in an orthonormal basis E of span{v, w*} (span{w*}
+        for a law without v).  So the channel draws those k <= 2
+        coordinates p, labels the points c + rho A^{1/2} E^T p, and
+        draws the rest of the Chow mean in closed form: the labels are
+        independent of the other coordinates of each z, so their
+        labeled sum is exactly N(0, n (I - E^T E)).  ``point(i)`` fills
+        in query i's other coordinates with a fresh draw, independent of
+        the labels and of the Chow mean.  Any other source gets full
+        d-dimensional draws.  Either way the labels, the Chow mean and a
+        point have the law they have on full draws, and only the oracle
+        reads w*.
+        """
+        if chow and n < 1:
+            raise ValueError("a Chow mean needs at least one sample")
+        if _margin_law(self.source) is None:
+            Z = self.gaussian_points(n)
+            X = law.points(Z)
+            labels = self.query_batch(X)
+            return GaussianBatch(labels, Z.T @ labels / n if chow else None, X.__getitem__)
+        E = _span_basis(self.source.target.w, law.v)
+        P = self.gaussian_points(n, dim=E.shape[0])
+        X = P @ law.linear(E)
+        if law.center is not None:
+            X += law.center
+        labels = self.query_batch(X)
+
+        def off_span() -> np.ndarray:
+            g = self.gaussian_points(1)[0]
+            return g - (E @ g) @ E
+
+        g = (P.T @ labels) @ E / n + off_span() / math.sqrt(n) if chow else None
+        return GaussianBatch(labels, g, lambda i: law.points((P[i] @ E + off_span())[None, :])[0])
 
 
-def localized_query_batch(
-    oracle: MembershipOracle, v: np.ndarray, s: float, sigma: float, Z: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Labels at A^{1/2} z - s v with A = I - (1 - sigma^2) v v^T; the
-    query points are built in ``out`` when given."""
-    if not (0.0 < sigma < 1.0):
-        raise ValueError("sigma must lie in (0, 1)")
-    X = sqrt_localization_apply(v, sigma, Z, out=out)
-    X -= s * np.asarray(v, dtype=float)
-    return oracle.query_batch(X)
+def localized_query_batch(oracle: MembershipOracle, v: np.ndarray, s: float, sigma: float, Z: np.ndarray) -> np.ndarray:
+    """Labels at A^{1/2} z - s v with A = I - (1 - sigma^2) v v^T."""
+    return oracle.query_batch(GaussianLaw.localized(v, s, sigma).points(Z))
 
 
 def smoothed_query_batch(oracle: MembershipOracle, x0: np.ndarray, rho: float, Z: np.ndarray) -> np.ndarray:
-    if not (0.0 < rho <= 1.0):
-        raise ValueError("rho must lie in (0, 1]")
-    shift = math.sqrt(max(0.0, 1.0 - rho * rho))
-    return oracle.query_batch(shift * np.asarray(x0, dtype=float) + rho * np.asarray(Z, dtype=float))
+    """Labels at sqrt(1 - rho^2) x0 + rho z."""
+    return oracle.query_batch(GaussianLaw.smoothed(x0, rho).points(Z))
 
 
 class SmallClassUnreachable(RuntimeError):
@@ -370,7 +472,7 @@ EVAL_BLOCK = 1 << 14
 
 def scores_exactly(source, h) -> bool:
     """Whether estimate_error is exact: h is a Halfspace, the source has a margin law."""
-    return isinstance(h, Halfspace) and getattr(source, "margin_law", lambda: None)() is not None
+    return isinstance(h, Halfspace) and _margin_law(source) is not None
 
 
 def _exact_error(source: LabelSource, h: Halfspace) -> float:

@@ -1,9 +1,11 @@
 """Smoke run of the package's two compute modes.
 
-One seeded check per mode: a small clean ``learn`` and a pool query
-game, each run twice so a rerun that drifts fails too.  It finishes in
-well under a second, so it can gate CLI usage and CI smoke runs; the
-property and statistical checks live in the test suite.
+One seeded check per mode: a small ``learn`` and a pool query game, each
+run twice so a rerun that drifts fails too.  The learn runs twice over:
+on clean labels, whose Gaussian queries take the oracle's span channel,
+and on a source with no margin law, which takes its general channel.  It
+finishes in well under a second, so it can gate CLI usage and CI smoke
+runs; the property and statistical checks live in the test suite.
 """
 
 from __future__ import annotations
@@ -15,15 +17,17 @@ import numpy as np
 from .geometry import Halfspace, threshold_for_bias
 from .learner import LearnerConfig, learn
 from .lowerbound import Pool, RandomOrder, play_query_game
-from .oracles import CleanLabels, MembershipOracle
+from .oracles import CleanLabels, MembershipOracle, RegionFlip
 from .rng import substream
 
 __all__ = ["run_selftest", "CHECKS"]
 
 
-def _check_learn() -> None:
+_TARGET = Halfspace(np.array([0.6, 0.0, 0.8]), 0.5)
+
+
+def _check_learn(source=CleanLabels(_TARGET)) -> None:
     cfg = LearnerConfig(epsilon=0.05, restarts_per_gridpoint=1)
-    source = CleanLabels(Halfspace(np.array([0.6, 0.0, 0.8]), 0.5))
 
     def run():
         oracle = MembershipOracle(source, seed=1)
@@ -49,8 +53,14 @@ def _check_query_game() -> None:
     assert run() == run(), "rerun revealed other points"
 
 
+def _check_learn_general_channel() -> None:
+    # a region that flips no label: clean labels, but no margin law
+    _check_learn(RegionFlip(_TARGET, lambda X: np.zeros(X.shape[0], dtype=bool), 0.0))
+
+
 CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("learn", _check_learn),
+    ("learn-general-channel", _check_learn_general_channel),
     ("query-game", _check_query_game),
 ]
 

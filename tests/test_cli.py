@@ -203,7 +203,7 @@ class TestMainModes:
         ]) == 0
         header, rows = read_csv(out)
         row = dict(zip(header, rows[0]))
-        assert (row["verdict"], row["total_queries"], row["err_estimate"]) == ("learned", "130346", "0.000227595858")
+        assert (row["verdict"], row["total_queries"], row["err_estimate"]) == ("learned", "128314", "0.0002148372149")
 
     def test_selftest_mode(self, capsys):
         assert main(["--mode", "selftest"]) == 0
@@ -305,7 +305,7 @@ class TestMainModes:
 
     def test_budget_checked_before_each_descent_round(self, tmp_path):
         # the budget runs out inside the first descent (ledger 9,643 to
-        # 87,797 unbudgeted): the oracle refuses the batch that would pass
+        # 91,585 unbudgeted): the oracle refuses the batch that would pass
         # it and the row counts the rounds run
         out = tmp_path / "budget.csv"
         code = main([
@@ -322,14 +322,14 @@ class TestMainModes:
 
     def test_budget_spent_in_tournament_exits_2(self, tmp_path, monkeypatch):
         # three restarts, whose candidates' offsets are spread 0.1 apart so
-        # that none joins another, reach the tournament at ledger 246,472;
+        # that none joins another, reach the tournament at ledger 258,783;
         # the vote over their three leaders (260 queries a pair) would end
-        # at 247,252, and the budget refuses its second pair
+        # at 259,563, and the budget refuses its second pair
         monkeypatch.setattr(learner, "refine", spread_offsets(learner.refine, (0.0, 0.1, 0.2)))
         out = tmp_path / "budget.csv"
         code = main([
             "--mode", "learn", "--dim", "10", "--tstar", "1.0", "--epsilon", "0.02",
-            "--seed", "4", "--budget", "246752", "--set", "restarts_per_gridpoint=3",
+            "--seed", "4", "--budget", "259063", "--set", "restarts_per_gridpoint=3",
             "--out", str(out),
         ])
         assert code == 2
@@ -337,11 +337,11 @@ class TestMainModes:
         row = dict(zip(header, rows[0]))
         assert row["verdict"] == "budget"
         assert int(row["queries_tournament"]) > 0
-        assert int(row["total_queries"]) <= 246_752
+        assert int(row["total_queries"]) <= 259_063
 
     def test_spent_oracle_skips_the_tournament(self, tmp_path, monkeypatch):
         # the budget runs out in the second restart's descent (ledger
-        # 90,401 to 170,449 at t* = 1, 91,348 to 169,502 at t* = -1), whose
+        # 94,189 to 167,608 at t* = 1, 93,242 to 177,078 at t* = -1), whose
         # candidate takes the closed-form offset of its last complete round:
         # no vote can be taken, so the medoid of the candidates by exact
         # disagreement mass wins without sampling a single disagreement
@@ -356,7 +356,7 @@ class TestMainModes:
             learner, "refine", lambda *args, **kwargs: descents.append(refine(*args, **kwargs)) or descents[-1]
         )
         out = tmp_path / "budget.csv"
-        for tstar, err, total in [("1.0", "0.001051079472", "159085"), ("-1.0", "0.0005571320497", "159085")]:
+        for tstar, err, total in [("1.0", "0.0003562588671", "159085"), ("-1.0", "0.0002594057672", "159085")]:
             descents.clear()
             code = main([
                 "--mode", "learn", "--dim", "10", "--tstar", tstar, "--epsilon", "0.02",

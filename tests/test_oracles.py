@@ -12,6 +12,8 @@ from halfspace_lab.oracles import (
     BoundaryBand,
     BudgetExceeded,
     CleanLabels,
+    GaussianLaw,
+    LabelSource,
     MembershipOracle,
     RandomFlip,
     RegionFlip,
@@ -145,6 +147,122 @@ class TestMembershipOracle:
 
         labels = smoothed_query_batch(o, x0, 0.6, Z)
         assert np.array_equal(labels, smoothed_halfspace(o.source.target, x0, 0.6)(Z))
+
+
+class Unlawful(LabelSource):
+    """A margin-law source's labels without its margin law: the Gaussian
+    channel takes its general path."""
+
+    def __init__(self, source):
+        self.target = source.target
+        self._source = source
+
+    def sample_labels(self, X, rng):
+        return self._source.sample_labels(X, rng)
+
+
+class TestGaussianChannel:
+    """The span channel of a margin-law source against the general channel."""
+
+    N = 20_000
+    # the spread of a Chow mean is checked over REPEATS batches of SMALL draws
+    REPEATS, SMALL = 200, 50
+    SOURCES = {
+        "clean": CleanLabels,
+        "rcn": lambda h: RandomFlip(h, 0.1),
+        "band": lambda h: BoundaryBand(h, 0.3),
+    }
+
+    @staticmethod
+    def pair(kind, d, seed, sign):
+        """The exact and the general channel on pinned, independent substreams."""
+        rng = substream(seed, "channel-target", d)
+        source = TestGaussianChannel.SOURCES[kind](Halfspace(unit_vector(rng, d), 1.0))
+        exact, general = MembershipOracle(source, seed), MembershipOracle(Unlawful(source), seed + 1)
+        exact.label_sign = general.label_sign = sign
+        return exact, general
+
+    def assert_agree(self, exact, general, law, directions):
+        a, b = (o.gaussian_queries(self.N, law, chow=True) for o in (exact, general))
+        assert exact.ledger == general.ledger == self.N
+        share = [float(np.mean(batch.labels == -1)) for batch in (a, b)]
+        p = max(0.5 * sum(share), 1.0 / self.N)
+        assert abs(share[0] - share[1]) <= 4 * math.sqrt(2 * p * (1 - p) / self.N), share
+        # each component of a Chow mean is a mean of N copies of (u.z) y,
+        # whose variance is at most E(u.z)^2 = 1
+        for name, u in directions.items():
+            assert abs(a.chow @ u - b.chow @ u) <= 4 * math.sqrt(2 / self.N), (name, a.chow @ u, b.chow @ u)
+        # and its spread: the mean square of sqrt(SMALL) u.g over small batches
+        U = np.column_stack(list(directions.values()))
+        a, b = (
+            np.array([o.gaussian_queries(self.SMALL, law, chow=True).chow @ U for _ in range(self.REPEATS)])
+            for o in (exact, general)
+        )
+        sq_a, sq_b = self.SMALL * a * a, self.SMALL * b * b
+        se = np.sqrt((sq_a.var(axis=0) + sq_b.var(axis=0)) / self.REPEATS)
+        assert np.all(np.abs(sq_a.mean(axis=0) - sq_b.mean(axis=0)) <= 4 * se), (sq_a.mean(axis=0), sq_b.mean(axis=0))
+
+    # w tilted from w*, w = w* and w = -w*; in one dimension only the last two
+    CASES = [(d, case) for d in (1, 2, 10) for case in ("tilted", "aligned", "opposed") if d > 1 or case != "tilted"]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("d,case", CASES)
+    @pytest.mark.parametrize("kind", sorted(SOURCES))
+    def test_localized_law(self, kind, d, case, sign):
+        seed = 31 * d + 2 * ["tilted", "aligned", "opposed"].index(case) + (sign < 0)
+        exact, general = self.pair(kind, d, seed, sign)
+        w_star = exact.source.target.w
+        rng = substream(seed, "channel-w")
+        w = {"tilted": lambda: rotated_from(w_star, 0.5, rng), "aligned": lambda: w_star, "opposed": lambda: -w_star}[case]()
+        # an orthonormal basis: w, then the rest of span{w, w*}, then the complement
+        basis = [w] if case != "tilted" else [w, w_star]
+        Q = np.linalg.qr(np.column_stack(basis + [rng.standard_normal((d, d))]))[0]
+        directions = {"along": w}
+        if case == "tilted":
+            directions["across"] = Q[:, 1]
+        if d > len(basis):
+            directions["complement"] = Q[:, len(basis)]
+        self.assert_agree(exact, general, GaussianLaw.localized(w, 0.8, 0.3), directions)
+
+    @pytest.mark.parametrize("kind", sorted(SOURCES))
+    @pytest.mark.parametrize("law", ["standard", "smoothed"])
+    def test_laws_without_a_direction(self, kind, law):
+        d = 10
+        exact, general = self.pair(kind, d, 5, 1)
+        w_star = exact.source.target.w
+        rng = substream(5, "channel-x0")
+        x0 = rng.standard_normal(d)
+        x0 -= (x0 @ w_star + 1.5) * w_star
+        Q = np.linalg.qr(np.column_stack([w_star, rng.standard_normal((d, d))]))[0]
+        chosen = GaussianLaw() if law == "standard" else GaussianLaw.smoothed(x0, 0.6)
+        self.assert_agree(exact, general, chosen, {"along": w_star, "complement": Q[:, 1]})
+
+    def test_points_get_their_other_coordinates(self):
+        # the negative points a batch hands out: labeled as the batch says,
+        # and standard normal off w* whether or not the labels read them
+        d, n = 10, 4000
+        exact, _ = self.pair("clean", d, 8, 1)
+        target = exact.source.target
+        batch = exact.gaussian_queries(5 * n)
+        hits = np.flatnonzero(batch.labels == -1)[:n]
+        X = np.array([batch.point(i) for i in hits])
+        assert np.array_equal(np.asarray(target(X)), batch.labels[hits])
+        Q = np.linalg.qr(np.column_stack([target.w, np.eye(d)]))[0]
+        C = X @ Q[:, 1:]
+        k = hits.size
+        assert np.all(np.abs(C.mean(axis=0)) <= 4 / math.sqrt(k))
+        assert np.all(np.abs(C.var(axis=0) - 1) <= 4 * math.sqrt(2 / k))
+
+    def test_budget_refusal_on_the_span_path(self):
+        exact, _ = self.pair("clean", 10, 3, 1)
+        exact.budget = 100
+        law = GaussianLaw.localized(exact.source.target.w, 0.8, 0.3)
+        with pytest.raises(BudgetExceeded):
+            exact.gaussian_queries(150, law, chow=True)
+        assert exact.spent and exact.ledger == 0
+        with pytest.raises(BudgetExceeded):
+            exact.gaussian_queries(10)
+        assert exact.ledger == 0
 
 
 class TestSmallClass:

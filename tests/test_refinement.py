@@ -1,14 +1,12 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
-import halfspace_lab.oracles as oracles
 import halfspace_lab.refinement as refinement
 from halfspace_lab.geometry import Halfspace
-from halfspace_lab.oracles import BoundaryBand, CleanLabels, MembershipOracle, RandomFlip, WhiteBoxView
+from halfspace_lab.oracles import BoundaryBand, CleanLabels, MembershipOracle, RandomFlip, RegionFlip, WhiteBoxView
 from halfspace_lab.refinement import (
     BIAS_WINDOW,
     EntryRejected,
@@ -116,23 +114,6 @@ class TestRefineRound:
         nxt = refine_round(oracle, state, 1.0, RefineConfig(), delta=0.1, total_rounds=10)
         assert view.half_angle_sine(nxt.w) < view.half_angle_sine(w0)
 
-    def test_buffers_change_no_value(self):
-        # a round that fills a descent's (dirty) buffers returns the state a
-        # round on fresh arrays returns, bit for bit, at the same ledger
-        cfg = RefineConfig()
-        results = []
-        for buffered in (False, True):
-            oracle, w0, _ = setup_problem(angle=0.4, seed=6)
-            shape = (gradient_sample_size(w0.shape[0], 10, cfg, 0.1), w0.shape[0])
-            buffers = (np.full(shape, np.nan), np.full(shape, np.nan)) if buffered else None
-            state = entry_state(oracle, w0, 0.5, 1.0)
-            results.append((refine_round(oracle, state, 1.0, cfg, 0.1, 10, buffers=buffers), oracle.ledger))
-        (fresh, ledger_fresh), (buffered, ledger_buffered) = results
-        assert ledger_fresh == ledger_buffered
-        for f in dataclasses.fields(RefineState):
-            x, y = getattr(fresh, f.name), getattr(buffered, f.name)
-            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), f.name
-
 
 class TestRefine:
     def test_reaches_accuracy_floor(self):
@@ -185,32 +166,38 @@ class TestDescent:
         )
         return found
 
-    def test_rounds_refill_the_descents_two_arrays(self, monkeypatch):
-        # every round draws its Chow points into one array and maps them to
-        # query points in another, the same two arrays all descent long
-        oracle, w0, _ = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
-        drawn, mapped, rounds = [], [], []
-        gauss, apply = MembershipOracle.gaussian_points, oracles.sqrt_localization_apply
+    def test_rounds_draw_only_span_coordinates(self, monkeypatch):
+        # a margin-law round draws its m Chow points as coordinates in
+        # span{w, w*} alone, an (m, 2) array, and one d-dimensional row for
+        # the rest of the Chow mean: no (m, d) Gaussian array.  A source
+        # without a margin law gets the full (m, d) draw
+        cfg, d = RefineConfig(), 10
+        sigma0 = entry_scale(self.T_TOP)
+        total = planned_rounds(sigma0, self.stop_scale(0.0, sigma0, cfg), cfg.c2)
+        m = gradient_sample_size(d, total, cfg, 0.1)
+        gauss = MembershipOracle.gaussian_points
+        drawn, per_round = [], []
+
+        def spy_round(*args, **kwargs):
+            first = len(drawn)
+            state = refine_round(*args, **kwargs)
+            per_round.append(drawn[first:])
+            return state
+
         monkeypatch.setattr(
             MembershipOracle, "gaussian_points", lambda *a, **k: drawn.append(gauss(*a, **k)) or drawn[-1]
         )
-        monkeypatch.setattr(
-            oracles,
-            "sqrt_localization_apply",
-            lambda v, s, z, **k: mapped.append((z, apply(v, s, z, **k))) or mapped[-1][1],
-        )
-        monkeypatch.setattr(
-            refinement, "refine_round", lambda *a, **k: rounds.append(refine_round(*a, **k)) or rounds[-1]
-        )
-        refine(oracle, w0, self.T_TOP, self.EPS, 0.1)
-        assert len(rounds) >= 2
-        # the Chow batches are the largest; the offset probes are smaller
-        m = max(z.shape[0] for z, _ in mapped)
-        chow = [(z, x) for z, x in mapped if z.shape[0] == m]
-        Z, X = chow[0]
-        assert len(chow) == len(rounds)
-        assert all(z is Z and x is X for z, x in chow) and Z is not X
-        assert [z is Z for z in drawn if z.shape[0] == m] == [True] * len(rounds)
+        monkeypatch.setattr(refinement, "refine_round", spy_round)
+        oracle, w0, _ = setup_problem(d=d, t=1.0, angle=0.6, seed=5)
+        refine(oracle, w0, self.T_TOP, self.EPS, 0.1, cfg)
+        assert len(per_round) >= 2
+        assert all([z.shape for z in batches] == [(m, 2), (1, d)] for batches in per_round)
+        assert max(z.size for z in drawn) == 2 * m
+        per_round.clear()
+        general = MembershipOracle(RegionFlip(oracle.source.target, lambda X: np.zeros(len(X), dtype=bool)), 5)
+        refine(general, w0, self.T_TOP, self.EPS, 0.1, cfg)
+        assert len(per_round) >= 2
+        assert all([z.shape for z in batches] == [(m, d)] for batches in per_round)
 
     def test_stops_at_the_stop_scale_of_its_offset(self, monkeypatch):
         oracle, w0, view = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
