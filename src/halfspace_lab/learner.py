@@ -17,6 +17,7 @@ that close, so every pair it votes on gets its full m_pair points.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -232,8 +233,16 @@ def join_leaders(leaders: list[Halfspace], c: Halfspace, epsilon: float) -> bool
 
 
 def medoid(candidates: list[Halfspace]) -> Halfspace:
-    """The candidate with the smallest summed disagreement mass to the others (first on ties)."""
-    totals = [sum(disagreement_mass(c, h) for h in candidates) for c in candidates]
+    """The candidate with the smallest summed disagreement mass to the others (first on ties).
+
+    Each pair's mass is computed once and added to both sums: the masses
+    d(a, b) and d(b, a) can differ in the last bits, which would break a tie.
+    """
+    totals = [0.0] * len(candidates)
+    for i, j in itertools.combinations(range(len(candidates)), 2):
+        mass = disagreement_mass(candidates[i], candidates[j])
+        totals[i] += mass
+        totals[j] += mass
     return candidates[int(np.argmin(totals))]
 
 

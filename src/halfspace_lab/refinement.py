@@ -40,6 +40,7 @@ __all__ = [
     "OffsetNotFound",
     "EntryRejected",
     "search_offset",
+    "certified_sine",
     "refine_round",
     "refine",
     "planned_rounds",
@@ -205,16 +206,23 @@ def chow_radii(m: int, dim: int, delta: float) -> tuple[float, float]:
     """Confidence radii (r_v, r_perp) of a localized Chow mean g of m draws.
 
     With w the localization direction, u the unit part of the target
-    normal orthogonal to w, and W the other d - 2 directions: for labels
-    that depend on x only through the target's margin, the W part of z
-    is independent of the label, so the W part of g is exactly
+    normal orthogonal to w, and W the other d - 2 directions: each of
+    g.w and g.u is a mean of m copies of (v.z) y whose central moments
+    obey Bernstein's condition with variance 1 and scale BERNSTEIN_SCALE,
+    so P(|g.v - E g.v| > r) <= 2 exp(-m r^2 / (2 (1 + B r))) for any
+    +-1 labels, since w and u are fixed directions.  For labels that
+    depend on x only through the target's margin, the W part of z is
+    independent of the label, so the W part of g is exactly
     N(0, I_{d-2} / m), and by Laurent and Massart (2000)
-    P(sqrt(m) ||g_W|| > sqrt(d - 2) + sqrt(2x)) <= exp(-x).  Each of g.w
-    and g.u is a mean of m copies of (v.z) y whose central moments obey
-    Bernstein's condition with variance 1 and scale BERNSTEIN_SCALE, so
-    P(|g.v - E g.v| > r) <= 2 exp(-m r^2 / (2 (1 + B r))).  Spending
+    P(sqrt(m) ||g_W|| > sqrt(d - 2) + sqrt(2x)) <= exp(-x).  Spending
     delta / 3 on each of the three events, with probability >= 1 - delta
-    |g.w - E g.w| <= r_v and ||g_perp - E g_perp|| <= r_perp.
+
+        |g.w - E g.w| <= r_v,  |g.u - E g.u| <= r_v,
+        ||g_perp - E g_perp|| <= r_v + r_W = r_perp.
+
+    A bound on E g.u, the across-w part of E g for margin-law labels,
+    needs only r_v; a lower bound on ||E g_perp|| pays for all of g_perp,
+    W part included, and needs r_perp.
     """
     lg = math.log(6.0 / delta)
     bl = BERNSTEIN_SCALE * lg
@@ -240,6 +248,15 @@ def noise_shift(epsilon: float, sigma: float, t_tilde: float) -> float:
     return 4.0 * math.exp(-0.5 * q * q) / math.sqrt(2.0 * math.pi)
 
 
+def certified_sine(sigma: float, mu: float, g_v: float, norm_perp: float, radius: float) -> float:
+    """B of ``refine_round``: the bound on sin(theta'/2) of the direction
+    w + mu g_perp, from g.w, ||g_perp|| and radius = r_v + shift; inf
+    unless g.w > radius."""
+    if g_v <= radius:
+        return math.inf
+    return 0.5 * sigma * (norm_perp + radius) / (g_v - radius) + 0.5 * mu * norm_perp
+
+
 def refine_round(
     oracle: MembershipOracle,
     state: RefineState,
@@ -258,28 +275,35 @@ def refine_round(
     t~ = ``state.t_cf``, with no search, and steps w along
     g_perp = g - (g.w) w with step mu = sigma / c1.  For any label law
     that depends on x only through w*.x (clean, random flips, a margin
-    band), E g is parallel to the localized target's normal
-    (a sigma w + b u) with a = cos theta, b = sin theta, so
-    ||E g_perp|| / E g.w = tan(theta) / sigma.  Take the radii of
-    ``chow_radii`` with delta split over the total_rounds + 1 rounds, as
-    ``gradient_sample_size`` does, and widen both by ``noise_shift``,
-    which bounds how far labels flipped off the margin law on a region
-    of mass up to epsilon / NOISE_FACTOR can move E g (the radii stay
-    those of the margin law).  Then if g.w > r_v + shift, with
+    band), the mean E_m g is parallel to the localized target's normal
+    (a sigma w + b u) with a = cos theta, b = sin theta and u the unit
+    part of w* orthogonal to w, so E_m g.u / E_m g.w = tan(theta) / sigma.
+    Labels flipped off the margin law on a region of mass up to
+    epsilon / NOISE_FACTOR add to it a vector D with ||D|| <= shift =
+    ``noise_shift``.  Take the radii of ``chow_radii`` with delta split
+    over the total_rounds + 1 rounds, as ``gradient_sample_size`` does.
+    Their Bernstein events on g.w and g.u hold for any labels, so with
     probability >= 1 - delta / (total_rounds + 1)
 
-        sin(theta'/2) <= (sigma / 2) (||g_perp|| + r_perp + shift) / (g.w - r_v - shift)
+        E_m g.w >= g.w - r_v - shift,
+        |E_m g.u| <= |g.u| + r_v + shift <= ||g_perp|| + r_v + shift,
+
+    and if g.w > r_v + shift, tan(theta) / sigma is at most their ratio.
+    So the stepped direction has
+
+        sin(theta'/2) <= (sigma / 2) (||g_perp|| + r_v + shift) / (g.w - r_v - shift)
                          + (mu / 2) ||g_perp||  =: B
 
-    for the stepped direction: sin(theta/2) <= tan(theta) / 2 for
-    theta < pi/2, which holds while the invariant keeps theta <= pi/3,
-    and the step moves w by at most mu ||g_perp||.  The test is on g.w,
-    not |g.w|, since E g.w < 0 would mean theta > pi/2.  The next sigma
-    is min((1 - 1/c2) sigma, CERTIFICATE_SLACK * B), exactly
-    (1 - 1/c2) sigma when g.w <= r_v + shift, and never below
-    ``floor``.  The matching lower bound on tan(theta) gives
-    ``angle_floor``, a lower confidence bound on sin(theta/2) of the
-    direction the round started from.  The round's m =
+    since sin(theta/2) <= tan(theta) / 2 for theta < pi/2, which holds
+    while the invariant keeps theta <= pi/3, and the step moves w by at
+    most mu ||g_perp||.  The W part of g needs no radius here: ||g_perp||
+    only overstates |g.u|.  The test is on g.w, not |g.w|, since
+    E g.w < 0 would mean theta > pi/2.  The next sigma is
+    min((1 - 1/c2) sigma, CERTIFICATE_SLACK * B), exactly (1 - 1/c2) sigma
+    when g.w <= r_v + shift, and never below ``floor``.  The lower bound
+    ||E_m g_perp|| >= ||g_perp|| - r_perp - shift, which pays for the W
+    part, gives ``angle_floor``, a lower confidence bound on sin(theta/2)
+    of the direction the round started from.  The round's m =
     ``gradient_sample_size`` labels and g come from the oracle's
     Gaussian channel (``MembershipOracle.gaussian_queries``), which for
     a margin-law source draws no (m, d) array.
@@ -306,10 +330,8 @@ def refine_round(
 
     r_v, r_perp = chow_radii(m, state.w.shape[0], delta / (total_rounds + 1))
     shift = noise_shift(epsilon, sigma, t_tilde)
-    sigma_next = (1.0 - 1.0 / cfg.c2) * sigma
-    if g_v > r_v + shift:
-        bound = 0.5 * sigma * (norm_perp + r_perp + shift) / (g_v - r_v - shift) + 0.5 * mu * norm_perp
-        sigma_next = min(sigma_next, CERTIFICATE_SLACK * bound)
+    bound = certified_sine(sigma, mu, g_v, norm_perp, r_v + shift)
+    sigma_next = min((1.0 - 1.0 / cfg.c2) * sigma, CERTIFICATE_SLACK * bound)
     tan_lo = sigma * max(0.0, norm_perp - r_perp - shift) / (abs(g_v) + r_v + shift)
     return replace(
         state,

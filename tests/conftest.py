@@ -1,7 +1,12 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+import halfspace_lab.refinement as refinement
 from halfspace_lab import Halfspace
+from halfspace_lab.oracles import WhiteBoxView
+from halfspace_lab.refinement import RefineConfig, RefineState
 from halfspace_lab.rng import substream
 
 
@@ -43,3 +48,40 @@ def spread_offsets(refine, shifts):
         return h, state
 
     return wrapped
+
+
+@dataclass(frozen=True)
+class RoundRecord:
+    """One refinement round as the round spy saw it."""
+
+    # the sigma the round started from
+    sigma: float
+    # the state it returned
+    state: RefineState
+    # true sin(theta/2) of the state's direction to the target
+    true_sine: float
+    # the next sigma is the fixed (1 - 1/c2) sigma: the certificate declined
+    fixed_step: bool
+
+    @property
+    def covered(self) -> bool:
+        return self.true_sine <= self.state.sigma
+
+
+@pytest.fixture
+def round_spy(monkeypatch):
+    """Wrap ``refinement.refine_round`` and return the list it fills, one
+    RoundRecord a round, with the true angle read through WhiteBoxView."""
+    records = []
+    refine_round = refinement.refine_round
+
+    def spy(oracle, state, *args, **kwargs):
+        nxt = refine_round(oracle, state, *args, **kwargs)
+        # a learn that flipped the oracle's labels descends toward -w*
+        true_sine = WhiteBoxView(oracle.source).half_angle_sine(oracle.label_sign * nxt.w)
+        fixed = nxt.sigma == (1.0 - 1.0 / RefineConfig.c2) * state.sigma
+        records.append(RoundRecord(state.sigma, nxt, true_sine, fixed))
+        return nxt
+
+    monkeypatch.setattr(refinement, "refine_round", spy)
+    return records

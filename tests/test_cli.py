@@ -203,7 +203,7 @@ class TestMainModes:
         ]) == 0
         header, rows = read_csv(out)
         row = dict(zip(header, rows[0]))
-        assert (row["verdict"], row["total_queries"], row["err_estimate"]) == ("learned", "128314", "0.0002148372149")
+        assert (row["verdict"], row["total_queries"], row["err_estimate"]) == ("learned", "91738", "0.0003522517253")
 
     def test_selftest_mode(self, capsys):
         assert main(["--mode", "selftest"]) == 0
@@ -305,31 +305,31 @@ class TestMainModes:
 
     def test_budget_checked_before_each_descent_round(self, tmp_path):
         # the budget runs out inside the first descent (ledger 9,643 to
-        # 91,585 unbudgeted): the oracle refuses the batch that would pass
+        # 56,546 unbudgeted): the oracle refuses the batch that would pass
         # it and the row counts the rounds run
         out = tmp_path / "budget.csv"
         code = main([
             "--mode", "learn", "--dim", "10", "--tstar", "1.0", "--epsilon", "0.02",
-            "--seed", "0", "--budget", "80000", "--set", "restarts_per_gridpoint=1",
+            "--seed", "0", "--budget", "50000", "--set", "restarts_per_gridpoint=1",
             "--out", str(out),
         ])
         assert code == 2
         header, rows = read_csv(out)
         row = dict(zip(header, rows[0]))
         assert row["verdict"] == "budget"
-        assert int(row["total_queries"]) <= 80_000
+        assert int(row["total_queries"]) <= 50_000
         assert int(row["rounds"]) > 0
 
     def test_budget_spent_in_tournament_exits_2(self, tmp_path, monkeypatch):
         # three restarts, whose candidates' offsets are spread 0.1 apart so
-        # that none joins another, reach the tournament at ledger 258,783;
+        # that none joins another, reach the tournament at ledger 148,931;
         # the vote over their three leaders (260 queries a pair) would end
-        # at 259,563, and the budget refuses its second pair
+        # at 149,711, and the budget refuses its second pair
         monkeypatch.setattr(learner, "refine", spread_offsets(learner.refine, (0.0, 0.1, 0.2)))
         out = tmp_path / "budget.csv"
         code = main([
             "--mode", "learn", "--dim", "10", "--tstar", "1.0", "--epsilon", "0.02",
-            "--seed", "4", "--budget", "259063", "--set", "restarts_per_gridpoint=3",
+            "--seed", "4", "--budget", "149211", "--set", "restarts_per_gridpoint=3",
             "--out", str(out),
         ])
         assert code == 2
@@ -337,11 +337,11 @@ class TestMainModes:
         row = dict(zip(header, rows[0]))
         assert row["verdict"] == "budget"
         assert int(row["queries_tournament"]) > 0
-        assert int(row["total_queries"]) <= 259_063
+        assert int(row["total_queries"]) <= 149_211
 
     def test_spent_oracle_skips_the_tournament(self, tmp_path, monkeypatch):
         # the budget runs out in the second restart's descent (ledger
-        # 94,189 to 167,608 at t* = 1, 93,242 to 177,078 at t* = -1), whose
+        # 59,150 to 99,424 at t* = 1, 62,938 to 99,424 at t* = -1), whose
         # candidate takes the closed-form offset of its last complete round:
         # no vote can be taken, so the medoid of the candidates by exact
         # disagreement mass wins without sampling a single disagreement
@@ -356,11 +356,11 @@ class TestMainModes:
             learner, "refine", lambda *args, **kwargs: descents.append(refine(*args, **kwargs)) or descents[-1]
         )
         out = tmp_path / "budget.csv"
-        for tstar, err, total in [("1.0", "0.0003562588671", "159085"), ("-1.0", "0.0002594057672", "159085")]:
+        for tstar, err, total in [("1.0", "0.0004650312068", "89954"), ("-1.0", "0.0006233720199", "89954")]:
             descents.clear()
             code = main([
                 "--mode", "learn", "--dim", "10", "--tstar", tstar, "--epsilon", "0.02",
-                "--seed", "0", "--budget", "160000", "--set", "restarts_per_gridpoint=2",
+                "--seed", "0", "--budget", "90000", "--set", "restarts_per_gridpoint=2",
                 "--out", str(out),
             ])
             assert code == 2

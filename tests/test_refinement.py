@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import halfspace_lab.refinement as refinement
@@ -13,6 +15,7 @@ from halfspace_lab.refinement import (
     OffsetNotFound,
     RefineConfig,
     RefineState,
+    certified_sine,
     entry_scale,
     gradient_sample_size,
     noise_shift,
@@ -336,6 +339,47 @@ class TestCertificate:
             floors_below += nxt.angle_floor <= view.half_angle_sine(w0)
         assert covered >= 95
         assert floors_below >= 95
+
+    @given(
+        d=st.integers(3, 8),
+        seed=st.integers(0, 10_000),
+        sigma=st.floats(0.005, 0.5),
+        g_v=st.floats(0.01, 1.5),
+        radius_share=st.floats(0.0, 0.99),
+        mean_u=st.floats(0.0, 1.5),
+        dev_w=st.floats(-1.0, 1.0),
+        dev_u=st.floats(-1.0, 1.0),
+        w_part=st.floats(0.0, 3.0),
+    )
+    # tight: g.u = E g.u - radius = 0, E g.w = g.w - radius, so B has only
+    # the radius to cover tan(theta) / 2 = 1/4
+    @example(d=3, seed=0, sigma=0.5, g_v=1.0, radius_share=0.5, mean_u=0.5, dev_w=-1.0, dev_u=-1.0, w_part=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_bound_covers_any_estimate_within_the_radius(
+        self, d, seed, sigma, g_v, radius_share, mean_u, dev_w, dev_u, w_part
+    ):
+        # an estimate g with g.w > radius = r_v + shift, and a mean E g
+        # whose w and u parts are within radius of g's, E g.u >= 0, and no
+        # part in the other d - 2 directions, where g has an arbitrary one.
+        # E g lies along the localized normal, so tan(theta) = sigma E g.u /
+        # E g.w fixes w* = cos(theta) w + sin(theta) u, and B is no smaller
+        # than sin(theta'/2) of the stepped direction
+        rng = substream(seed, "certificate-property")
+        w = unit_vector(rng, d)
+        u = rotated_from(w, math.pi / 2, rng)
+        radius = radius_share * g_v
+        theta = math.atan2(sigma * mean_u, g_v + dev_w * radius)
+        assume(theta <= math.pi / 3)
+        w_star = math.cos(theta) * w + math.sin(theta) * u
+        other = unit_vector(rng, d)
+        other -= (other @ w) * w + (other @ u) * u
+        g = g_v * w + (mean_u + dev_u * radius) * u + w_part * other / np.linalg.norm(other)
+        g_perp = g - float(g @ w) * w
+        mu = sigma / RefineConfig.c1
+        stepped = w + mu * g_perp
+        stepped /= np.linalg.norm(stepped)
+        bound = certified_sine(sigma, mu, float(g @ w), float(np.linalg.norm(g_perp)), radius)
+        assert 0.5 * float(np.linalg.norm(stepped - w_star)) <= bound * (1.0 + 1e-12) + 1e-15
 
     def test_declined_certificate_contracts_by_the_fixed_factor(self):
         cfg = RefineConfig()
