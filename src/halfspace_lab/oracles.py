@@ -26,11 +26,10 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .geometry import (
-    AngleDecomposition,
     Halfspace,
-    decompose,
     disagreement_mass,
     halfspace_bias,
+    localize_halfspace,
     sign_labels,
     sqrt_localization_apply,
 )
@@ -536,15 +535,9 @@ class WhiteBoxView:
         """sin(theta(w, w*)/2), computed as ||w - w*|| / 2 for precision near 0."""
         return 0.5 * float(np.linalg.norm(self.target.w - np.asarray(w, dtype=float)))
 
-    def decompose_against(self, w: np.ndarray) -> AngleDecomposition:
-        return decompose(self.target.w, np.asarray(w, dtype=float))
-
     def localized_threshold(self, w: np.ndarray, sigma: float, t_tilde: float) -> float:
-        """The hidden normalized threshold of the localized target:
-        (t* - a t~) / (sigma sqrt(a^2 + b^2 / sigma^2))."""
-        dec = self.decompose_against(w)
-        denom = sigma * math.sqrt(dec.a ** 2 + (dec.b / sigma) ** 2)
-        return (self.target.t - dec.a * t_tilde) / denom
+        """The hidden normalized threshold of the localized target."""
+        return localize_halfspace(self.target, w, t_tilde, sigma).t
 
     def true_error(self, h: Halfspace, m: int = 200_000, seed: int = 0) -> float:
         return estimate_error(self.source, h, m, seed, "whitebox-eval")

@@ -8,12 +8,13 @@ concept, and takes a projected gradient step.  sigma is an upper bound
 on sin(theta/2) to the target direction.  Each round certifies how far
 it may fall from the ratio of the Chow estimate's components across and
 along w, which it already pays for; a round whose certificate is too
-weak contracts by the fixed factor 1 - 1/c2.  A descent bisects for its
-offset once, at entry.  After that every round reads the next offset
-off the negative share of its own Chow labels, a closed-form estimate of
-t* that costs no query, and a round whose share left the bias window
-ends the descent.  A descent stops at the scale that offset calls for,
-and its hypothesis takes the last round's offset.
+weak contracts by the fixed factor 1 - 1/c2.  One closed form moves
+the offset: from labels at offset t~ with negative share p^,
+t~ - sigma Phi^{-1}(p^) estimates t*.  The entry search steps by it
+until a probe reads in-window; each round reads the next offset off its
+own Chow labels at no query, and a round whose share left the bias
+window ends the descent.  A descent stops at the scale that offset
+calls for, and its hypothesis takes the last round's offset.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "check_fields",
     "OffsetNotFound",
     "EntryRejected",
+    "closed_form_offset",
     "search_offset",
     "certified_sine",
     "refine_round",
@@ -48,29 +50,27 @@ __all__ = [
 ]
 
 
-class OffsetNotFound(RuntimeError):
+class EntryRejected(RuntimeError):
+    """The warm start failed the descent's entry test: no in-window
+    offset at sigma0 (``OffsetNotFound``), or a first-round lower
+    confidence bound on sin(theta/2) above sigma0.  The caller falls
+    back to another warm start."""
+
+
+class OffsetNotFound(EntryRejected):
     """No localization offset put the negative rate inside the bias window.
 
     Signals that sigma undershoots the actual angle, the threshold range
-    is wrong, or noise swamps the window.  A descent raises it, at entry,
-    as EntryRejected.
+    is wrong, or noise swamps the window.
     """
-
-
-class EntryRejected(RuntimeError):
-    """The warm start failed the descent's entry test: no in-window
-    offset at sigma0, or a first-round lower confidence bound on
-    sin(theta/2) above sigma0.  The caller falls back to another warm
-    start."""
 
 
 # the entry search steers the localized negative rate into this band,
 # where the gradient signal is strongest, and every round's labels must
 # keep it there
 BIAS_WINDOW = (0.25, 0.75)
-MAX_BISECTION_STEPS = 60
-# bisection stops refining the bracket below this fraction of sigma
-RESOLUTION_FACTOR = 0.25
+# the entry search's probe cap; each probe spends delta / MAX_PROBES
+MAX_PROBES = 60
 # a round's certificate tolerates labels flipped on any region of mass up
 # to epsilon / NOISE_FACTOR, on top of noise that depends on x only
 # through the target's margin
@@ -151,6 +151,15 @@ def planned_rounds(sigma0: float, sigma_final: float, c2: float) -> int:
     return math.ceil(math.log(sigma0 / sigma_final) / -math.log1p(-1.0 / c2))
 
 
+def closed_form_offset(t_tilde: float, sigma: float, p_hat: float, n: int, t_prime: float) -> float:
+    """t~ - sigma Phi^{-1}(p^) clamped to [0, t']: from the negative share
+    p^ of n labels localized at offset t~, an estimate of t* (see
+    ``refine_round``).  p^ is kept 1/(2n) inside (0, 1), so a share of 0
+    or 1 takes a finite step, not a jump to a bracket end."""
+    p = min(max(p_hat, 0.5 / n), 1.0 - 0.5 / n)
+    return min(max(t_tilde - sigma * float(ndtri(p)), 0.0), t_prime)
+
+
 def search_offset(
     oracle: MembershipOracle,
     w: np.ndarray,
@@ -158,39 +167,33 @@ def search_offset(
     t_prime: float,
     delta: float,
 ) -> float:
-    """Find an offset whose localized negative-label rate is in-window.
+    """Find an offset in [0, t'] with an in-window localized negative rate.
 
-    The localized negative rate is monotone increasing in the offset, so
-    bisection over [0, t'] converges: a probe whose empirical rate falls
-    below the window center raises the lower bracket, above lowers the
-    upper one.  The first probe is at t'/2.  Each probe is one in/out
-    window check, and the search accepts the first probe in the window.
-    Once the bracket shrinks below a quarter of sigma without one, it
-    fails.  A descent runs it once, at entry.
+    The first probe is at t'/2.  Each probe is one in/out window check,
+    and the search accepts the first probe in the window.  Otherwise it
+    moves to the probe's ``closed_form_offset``, the rule every round
+    uses.  It fails (OffsetNotFound) when a probe would not move, its
+    offset pinned at an end of [0, t'], or after MAX_PROBES probes.  A
+    descent runs it once, at entry.
     """
     if not (0.0 < sigma <= 0.5):
         raise ValueError("sigma must lie in (0, 1/2]")
     if t_prime < 0:
         raise ValueError("t_prime must be non-negative")
-    delta_probe = delta / MAX_BISECTION_STEPS
-    lo_t, hi_t = 0.0, t_prime
-    resolution = RESOLUTION_FACTOR * sigma
-    mid = 0.5 * t_prime
-    for _ in range(MAX_BISECTION_STEPS):
+    delta_probe = delta / MAX_PROBES
+    offset = 0.5 * t_prime
+    for _ in range(MAX_PROBES):
 
-        def sample(n: int, offset: float = mid) -> np.ndarray:
+        def sample(n: int, offset: float = offset) -> np.ndarray:
             return oracle.gaussian_queries(n, GaussianLaw.localized(w, offset, sigma)).labels
 
         result = probability_window_check(sample, BIAS_WINDOW, delta_probe)
         if result.in_window:
-            return mid
-        if hi_t - lo_t < resolution:
+            return offset
+        step = closed_form_offset(offset, sigma, result.p_emp, result.samples, t_prime)
+        if step == offset:
             break
-        if result.p_emp < 0.5 * sum(BIAS_WINDOW):
-            lo_t = mid
-        else:
-            hi_t = mid
-        mid = 0.5 * (lo_t + hi_t)
+        offset = step
     raise OffsetNotFound(
         f"no in-window offset in [0, {t_prime}] at sigma {sigma:.4g}"
     )
@@ -340,7 +343,7 @@ def refine_round(
         round=state.round + 1,
         angle_floor=math.sin(0.5 * math.atan(tan_lo)),
         neg_rate=neg_rate,
-        t_cf=min(max(t_tilde - sigma * float(ndtri(neg_rate)), 0.0), t_prime),
+        t_cf=closed_form_offset(t_tilde, sigma, neg_rate, m, t_prime),
     )
 
 
@@ -362,11 +365,11 @@ def refine(
     """One descent from w0 with the offset bracket [0, t_top].
 
     The descent runs one ``search_offset`` at (w0, sigma0), its only
-    search, and rejects its warm start (EntryRejected) when no offset in
-    [0, t_top] gets an in-window verdict there.  The first round runs at
-    that offset, and each later round at the last round's closed-form
-    offset t_cf, which tracks t* whenever t_top >= t*, so the bracket
-    does the threshold grid's work.  The rounds start at sigma0 (default
+    search, whose OffsetNotFound (an EntryRejected) rejects the warm
+    start.  The first round runs at the accepted offset, and each later
+    round at the last round's closed-form offset t_cf, the rule the
+    search steps by, which tracks t* whenever t_top >= t*, so the
+    bracket does the threshold grid's work.  The rounds start at sigma0 (default
     min(1/t_top, 1/2)), each certifying its own next sigma, and run
     while sigma exceeds the stop scale of the state's offset,
     sigma_stop(t_cf) = min(sigma0, c_stop eps exp(t_cf^2 / 2)).  Each
@@ -399,10 +402,7 @@ def refine(
     try:
         # entry: the warm start must put the localized rate in the bias
         # window at sigma0; the first round runs there
-        try:
-            state = replace(state, t_cf=search_offset(oracle, state.w, sigma0, t_top, delta))
-        except OffsetNotFound as exc:
-            raise EntryRejected(f"entry: {exc}") from exc
+        state = replace(state, t_cf=search_offset(oracle, state.w, sigma0, t_top, delta))
         while state.round < total and state.sigma > (floor := stop_scale(state.t_cf)):
             state = refine_round(oracle, state, t_top, cfg, delta, total, epsilon=epsilon, floor=floor)
             if state.round == 1 and state.angle_floor > sigma0:

@@ -1,7 +1,9 @@
 import dataclasses
+import importlib
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,8 @@ from halfspace_lab.refinement import EntryRejected, refine_round
 from halfspace_lab.rng import substream
 
 from conftest import rotated_from, spread_offsets, unit_vector
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def make_oracle(t=1.0, d=6, seed=0, budget=None):
@@ -346,13 +350,26 @@ class TestLearn:
         w = np.eye(20)[0]
         report = learn(MembershipOracle(CleanLabels(Halfspace(w, 1.0)), seed=7), LearnerConfig(epsilon=0.02))
         assert (report.total_queries, report.restarts_run, report.err_estimate) == (
-            168_309, 2, pytest.approx(4.498028683e-4, rel=1e-9)
+            168_309, 2, pytest.approx(4.465184636e-4, rel=1e-9)
         )
         assert len(report.candidates) == 2
         assert report.queries_tournament == 0
         assert report.attempts == (
             len(report.candidates) + report.init_failures + report.offset_failures
         )
+
+    @pytest.mark.parametrize("seed,label", [(4, "unaided-3"), (5, "unaided-0")])
+    def test_smallclass_entry_edge_learns(self, seed, label, monkeypatch):
+        # learn-smallclass's unaided learns whose entry search once accepted
+        # an offset at the bias window's edge (true rates 0.313 and 0.250):
+        # the first round read outside the window, the one restart yielded
+        # nothing, and the learn ended at the constant +1 (error 0.0062)
+        monkeypatch.syspath_prepend(str(BENCH))
+        workloads = importlib.import_module("workloads")
+        [case] = [c for c in workloads.build_learn_smallclass(seed, smoke=False).cases if c.label == label]
+        report = learn(MembershipOracle(case.source(), case.oracle_seed), case.cfg)
+        assert report.verdict == "learned"
+        assert disagreement_mass(case.target, report.hypothesis) <= case.cfg.epsilon
 
     @pytest.mark.parametrize("source", [CleanLabels, lambda h: RandomFlip(h, 0.05)], ids=["clean", "rcn"])
     def test_default_chow_sample_learns_to_a_twentieth_of_eps(self, source):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import halfspace_lab.refinement as refinement
-from halfspace_lab.geometry import Halfspace
+from halfspace_lab.geometry import Halfspace, halfspace_bias
 from halfspace_lab.oracles import BoundaryBand, CleanLabels, MembershipOracle, RandomFlip, RegionFlip, WhiteBoxView
 from halfspace_lab.refinement import (
     BIAS_WINDOW,
@@ -16,6 +17,7 @@ from halfspace_lab.refinement import (
     RefineConfig,
     RefineState,
     certified_sine,
+    closed_form_offset,
     entry_scale,
     gradient_sample_size,
     noise_shift,
@@ -74,8 +76,6 @@ class TestSearchOffset:
         t_tilde = search_offset(oracle, w0, 0.5, 1.0, delta=0.1)
         assert 0.0 <= t_tilde <= 1.0
         # white-box: the hidden localized negative rate is in the bias window
-        from halfspace_lab.geometry import halfspace_bias
-
         rate = halfspace_bias(view.localized_threshold(w0, 0.5, t_tilde))
         assert BIAS_WINDOW[0] < rate < BIAS_WINDOW[1]
 
@@ -95,6 +95,43 @@ class TestSearchOffset:
         with pytest.raises(OffsetNotFound):
             search_offset(noisy, target.w, 0.05, 0.7, delta=0.1)
 
+    def test_accepted_offsets_sit_near_one_half(self):
+        # white-box: over a seeded grid of entries that meet the invariant
+        # sin(theta/2) <= sigma = entry_scale(t'), the true localized rate
+        # at each accepted offset.  Stepping by the closed form lands most
+        # probes near 1/2, so few accepted offsets fall outside [0.3, 0.7]
+        # (21 of 1,333 on this grid).  The window check, from 250 labels a
+        # probe, still accepts a rate near 0.3 now and then, most often
+        # near the invariant's edge
+        rates = []
+        grid = itertools.product((5, 20), (0.5, 1.0, 1.5, 2.0, 2.5), (1.0, 1.1, 1.3), (0.1, 0.3, 0.5, 0.7, 0.9))
+        for d, t_star, lift, share in grid:
+            for seed in range(10):
+                rng = substream(seed, "entry-grid", f"{d}-{t_star}-{lift}-{share}")
+                t_prime = lift * t_star
+                sigma = entry_scale(t_prime)
+                w_star = unit_vector(rng, d)
+                w0 = rotated_from(w_star, 2.0 * math.asin(share * sigma), rng)
+                oracle = MembershipOracle(CleanLabels(Halfspace(w_star, t_star)), int(rng.integers(2**32)))
+                try:
+                    t_tilde = search_offset(oracle, w0, sigma, t_prime, delta=0.1)
+                except OffsetNotFound:
+                    continue
+                view = WhiteBoxView(oracle.source)
+                rates.append(halfspace_bias(view.localized_threshold(w0, sigma, t_tilde)))
+        assert len(rates) >= 1_250
+        assert sum(not 0.3 <= r <= 0.7 for r in rates) <= 0.025 * len(rates)
+
+    def test_closed_form_offset(self):
+        # in-window shares step by t~ - sigma Phi^{-1}(p^) exactly; a share
+        # of 0 or 1 is kept 1/(2n) inside (0, 1) and takes a finite step;
+        # the result is clamped to [0, t']
+        assert closed_form_offset(1.0, 0.2, 0.3, 250, 2.0) == 1.0 - 0.2 * float(ndtri(0.3))
+        assert closed_form_offset(1.0, 0.2, 0.0, 250, 2.0) == 1.0 - 0.2 * float(ndtri(1 / 500))
+        assert closed_form_offset(1.0, 0.2, 1.0, 250, 2.0) == 1.0 - 0.2 * float(ndtri(1 - 1 / 500))
+        assert closed_form_offset(1.0, 0.5, 0.0, 250, 2.0) == 2.0
+        assert closed_form_offset(0.1, 0.5, 0.9, 250, 2.0) == 0.0
+
     def test_rejects_bad_sigma(self):
         oracle, w0, _ = setup_problem()
         with pytest.raises(ValueError):
@@ -112,9 +149,12 @@ class TestRefineRound:
         assert np.linalg.norm(nxt.w) == pytest.approx(1.0, abs=1e-9)
 
     def test_round_decreases_angle(self):
+        # at this angle the localized rate reaches 0.33 only at t' = 1 (see
+        # TestEntry.test_sliver_bracket_is_rejected_at_entry); a bracket
+        # to 1.5 reaches the window
         oracle, w0, view = setup_problem(angle=0.9, seed=4)
-        state = entry_state(oracle, w0, 0.5, 1.0)
-        nxt = refine_round(oracle, state, 1.0, RefineConfig(), delta=0.1, total_rounds=10)
+        state = entry_state(oracle, w0, 0.5, 1.5)
+        nxt = refine_round(oracle, state, 1.5, RefineConfig(), delta=0.1, total_rounds=10)
         assert view.half_angle_sine(nxt.w) < view.half_angle_sine(w0)
 
 
@@ -419,6 +459,17 @@ class TestEntry:
         with pytest.raises(EntryRejected):
             refine(oracle, w0, t_top, 0.001, 0.1, RefineConfig(c_stop=10.0, grad_samples_multiplier=10.0),
                    sigma0=entry_scale(t_top))
+
+    def test_sliver_bracket_is_rejected_at_entry(self):
+        # at sigma0 = 1/2 the true localized rate on [0, 1] is at most
+        # 0.327, at the bracket's top, the window's edge: the closed-form
+        # steps pin at the top, whose probe reads 0.312, and the search
+        # fails there.  Its failure is the descent's entry rejection
+        assert issubclass(OffsetNotFound, EntryRejected)
+        oracle, w0, view = setup_problem(angle=0.9, seed=4)
+        assert halfspace_bias(view.localized_threshold(w0, 0.5, 1.0)) < 0.33
+        with pytest.raises(OffsetNotFound):
+            refine(oracle, w0, 1.0, 0.05, 0.1)
 
     def test_lower_bound_rejects_an_entry_scale_too_small(self):
         # the offset search succeeds, but the Chow estimate bounds the
