@@ -2,10 +2,8 @@
 label-query lab, against simulated oracles."""
 
 from .geometry import (
-    AngleDecomposition,
     Halfspace,
     chow_vector,
-    decompose,
     halfspace_bias,
     komatsu_bounds,
     localize_halfspace,

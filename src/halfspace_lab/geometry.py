@@ -2,9 +2,10 @@
 
 Everything here is a pure function of its arguments: halfspace bias and
 its inverse, the disagreement mass of two halfspaces, Chow vectors,
-angle decompositions, and the two exact halfspace transforms
-(localization and smoothing) the learner is built on.  Boundary ties
-resolve to +1 everywhere.
+the orthonormal span of one or two directions and the lift of span
+coordinates to a full Gaussian point, and the two exact halfspace
+transforms (localization and smoothing) the learner is built on.
+Boundary ties resolve to +1 everywhere.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from scipy.special import erfc, ndtr, ndtri, owens_t
 
 __all__ = [
     "Halfspace",
-    "AngleDecomposition",
     "halfspace_bias",
     "threshold_for_bias",
     "disagreement_mass",
     "komatsu_bounds",
     "chow_vector",
-    "decompose",
+    "span_basis",
+    "lift",
     "localize_halfspace",
     "sqrt_localization_apply",
     "smoothed_halfspace",
@@ -70,27 +71,11 @@ class Halfspace:
 
     def __call__(self, X: np.ndarray) -> np.ndarray | int:
         """Labels in {-1, +1}; X may be a single point or an (n, d) batch."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            return 1 if float(X @ self.w) + self.t >= 0 else -1
         return sign_labels(self.margins(X))
 
     def flipped(self) -> "Halfspace":
         """The complementary halfspace sign(-w . x - t)."""
         return Halfspace(-self.w, -self.t)
-
-
-@dataclass(frozen=True)
-class AngleDecomposition:
-    """target = a * reference + b * u with u orthogonal to reference.
-
-    a = cos(theta) is stored instead of theta itself; b = sin(theta) >= 0.
-    u is a unit vector, or zero when b = 0.
-    """
-
-    a: float
-    b: float
-    u: np.ndarray
 
 
 def halfspace_bias(t: float) -> float:
@@ -156,21 +141,30 @@ def chow_vector(h: Halfspace) -> np.ndarray:
     return math.sqrt(2.0 / math.pi) * math.exp(-h.t * h.t / 2.0) * h.w
 
 
-def decompose(target: np.ndarray, reference: np.ndarray) -> AngleDecomposition:
-    """Write target = a * reference + b * u with u _|_ reference, b >= 0.
+def span_basis(w: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal rows spanning the unit vector w and, when given, the
+    unit vector v (v first): v, then w's part off v, orthogonalized
+    twice, unless that part is at most 1e-12, when v alone is returned."""
+    if v is None:
+        return w[None, :]
+    u = w - (w @ v) * v
+    u -= (u @ v) * v
+    norm = float(np.linalg.norm(u))
+    return v[None, :] if norm <= 1e-12 else np.stack([v, u / norm])
 
-    u is a unit vector, except when target is (anti)parallel to
-    reference: then b is reported as exactly 0 and u is the zero vector,
-    so b * u and any projection onto u vanish.
+
+def lift(P: np.ndarray, E: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The rows whose coordinates in the orthonormal rows E are P and
+    whose part off span(E) is G's: P @ E + G - (G @ E^T) @ E.
+
+    For G with N(0, I) rows, the part off span(E) is independent of the
+    coordinates in E, so each result row has the law of N(0, I)
+    conditioned on its coordinates in E being the row of P.  P is (n, k)
+    and G (n, d), or one row each.
     """
-    target = np.asarray(target, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    a = float(np.dot(target, reference))
-    residual = target - a * reference
-    b = float(np.linalg.norm(residual))
-    if b <= 1e-12:
-        return AngleDecomposition(a=a, b=0.0, u=np.zeros_like(reference))
-    return AngleDecomposition(a=a, b=b, u=residual / b)
+    X = P @ E
+    X += G - (G @ E.T) @ E
+    return X
 
 
 def sqrt_localization_apply(v: np.ndarray, sigma: float, z: np.ndarray) -> np.ndarray:
@@ -178,9 +172,7 @@ def sqrt_localization_apply(v: np.ndarray, sigma: float, z: np.ndarray) -> np.nd
     if not (0.0 < sigma <= 1.0):
         raise ValueError("sigma must lie in (0, 1]")
     z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        return z - (1.0 - sigma) * float(np.dot(v, z)) * v
-    out = np.multiply((z @ v)[:, None], (sigma - 1.0) * np.asarray(v, dtype=float))
+    out = np.multiply.outer(z @ v, (sigma - 1.0) * np.asarray(v, dtype=float))
     out += z
     return out
 
@@ -189,11 +181,12 @@ def localize_halfspace(h: Halfspace, v: np.ndarray, s: float, sigma: float) -> H
     """The halfspace l with l(z) = h(A^{1/2} z - s v), A = I - (1 - sigma^2) v v^T."""
     if not (0.0 < sigma < 1.0):
         raise ValueError("sigma must lie in (0, 1)")
-    dec = decompose(h.w, np.asarray(v, dtype=float))
-    a, b, u = dec.a, dec.b, dec.u
-    raw = a * np.asarray(v, dtype=float) + (b / sigma) * u
-    norm = math.sqrt(a * a + (b / sigma) ** 2)
-    return Halfspace(raw / norm, ((h.t - a * s) / sigma) / norm)
+    E = span_basis(h.w, np.asarray(v, dtype=float))
+    # h.w's coordinates (h.w . v, its part off v), the second stretched by 1 / sigma
+    c = E @ h.w
+    c[1:] /= sigma
+    norm = float(np.linalg.norm(c))
+    return Halfspace(c @ E / norm, ((h.t - c[0] * s) / sigma) / norm)
 
 
 def smoothed_halfspace(h: Halfspace, x0: np.ndarray, rho: float) -> Halfspace:

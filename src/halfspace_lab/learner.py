@@ -26,7 +26,7 @@ from scipy.special import erfcx
 
 from .estimation import BiasEstimate, estimate_bias_doubling
 from .geometry import (
-    Halfspace, decompose, disagreement_mass, halfspace_bias, threshold_for_bias,
+    Halfspace, disagreement_mass, halfspace_bias, lift, span_basis, threshold_for_bias,
 )
 from .initialization import InitFailure, init_unextreme
 from .oracles import BudgetExceeded, MembershipOracle, SmallClassOracle, estimate_error, scores_exactly
@@ -76,6 +76,9 @@ class LearnerConfig:
 
     def __post_init__(self):
         check_fields(self, positive=True)
+        for name in ("epsilon", "delta"):
+            if getattr(self, name) >= 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)!r}")
 
     def restarts(self) -> int:
         if self.restarts_per_gridpoint is not None:
@@ -144,31 +147,29 @@ def sample_disagreement(h1: Halfspace, h2: Halfspace, oracle: MembershipOracle, 
     """m Gaussian points on which h1 and h2 disagree.
 
     Proposals are standard normal coordinates (p, r) along w1 and u,
-    where w2 = a w1 + b u (``decompose``; u = 0 when w2 = +-w1, and r
-    then plays no part); they are accepted where
-    sign(p + t1) != sign(a p + b r + t2).  The search runs until m hits,
-    about m / q proposals for a pair that disagrees on mass q, so q must
-    be positive.  Only the hits get their other coordinates, from fresh
-    Gaussian rows, so each returned point has the law of N(0, I_d)
-    conditioned on disagreement.
+    where E = ``span_basis(w2, w1)`` holds w1 and, unless w2 = +-w1, the
+    unit u along w2's part off w1 (else r plays no part); they are
+    accepted where h1 and h2 label p w1 + r u apart.  The search runs
+    until m hits, about m / q proposals for a pair that disagrees on
+    mass q, so q must be positive.  Only the hits are lifted to d
+    dimensions (``geometry.lift``, from fresh Gaussian rows), so each
+    returned point has the law of N(0, I_d) conditioned on disagreement.
     """
-    dec = decompose(h2.w, h1.w)
+    E = span_basis(h2.w, h1.w)
+    k = E.shape[0]
+    # w2 = a w1 + b u, with b = 0 when E is w1 alone
+    a, b = np.pad(E @ h2.w, (0, 2 - k))
     found: list[np.ndarray] = []
     hits = 0
     chunk = 4096
     while hits < m:
         P = oracle.gaussian_points(chunk, dim=2)
         p, r = P[:, 0], P[:, 1]
-        mask = (p + h1.t >= 0) != (dec.a * p + dec.b * r + h2.t >= 0)
+        mask = (p + h1.t >= 0) != (a * p + b * r + h2.t >= 0)
         found.append(P[mask])
         hits += found[-1].shape[0]
         chunk = min(2 * chunk, 1 << 17)
-    P = np.concatenate(found)[:m]
-    # replace the span coordinates of fresh Gaussian rows by (p, r)
-    X = oracle.gaussian_points(m)
-    X += (P[:, 0] - X @ h1.w)[:, None] * h1.w
-    X += (P[:, 1] - X @ dec.u)[:, None] * dec.u
-    return X
+    return lift(np.concatenate(found)[:m, :k], E, oracle.gaussian_points(m))
 
 
 def tournament(

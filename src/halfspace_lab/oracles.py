@@ -29,8 +29,10 @@ from .geometry import (
     Halfspace,
     disagreement_mass,
     halfspace_bias,
+    lift,
     localize_halfspace,
     sign_labels,
+    span_basis,
     sqrt_localization_apply,
 )
 from .rng import substream
@@ -182,18 +184,6 @@ def _margin_law(source):
     return getattr(source, "margin_law", lambda: None)()
 
 
-def _span_basis(w_star: np.ndarray, v: np.ndarray | None) -> np.ndarray:
-    """Orthonormal rows spanning w* and, when given, the unit vector v
-    (v first): v, then w*'s part off v, orthogonalized twice, unless that
-    part is below rounding."""
-    if v is None:
-        return w_star[None, :]
-    u = w_star - (w_star @ v) * v
-    u -= (u @ v) * v
-    norm = float(np.linalg.norm(u))
-    return v[None, :] if norm <= 1e-12 else np.stack([v, u / norm])
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianLaw:
     """The law of a batch of Gaussian queries: x = c + rho A^{1/2} z with
@@ -305,17 +295,16 @@ class MembershipOracle:
 
         A source with a margin law (the test ``scores_exactly`` makes)
         labels x through r = w*.x alone, and r reads z only through its
-        coordinates in an orthonormal basis E of span{v, w*} (span{w*}
-        for a law without v).  So the channel draws those k <= 2
-        coordinates p, labels the points c + rho A^{1/2} E^T p, and
-        draws the rest of the Chow mean in closed form: the labels are
-        independent of the other coordinates of each z, so their
-        labeled sum is exactly N(0, n (I - E^T E)).  ``point(i)`` fills
-        in query i's other coordinates with a fresh draw, independent of
-        the labels and of the Chow mean.  Any other source gets full
-        d-dimensional draws.  Either way the labels, the Chow mean and a
-        point have the law they have on full draws, and only the oracle
-        reads w*.
+        coordinates in an orthonormal basis E of span{v, w*}
+        (``geometry.span_basis``; span{w*} for a law without v).  So the
+        channel draws those k <= 2 coordinates p and labels the points
+        c + rho A^{1/2} E^T p.  The labels are independent of the other
+        coordinates of each z, so the Chow mean and ``point(i)`` are
+        completed off span(E) by ``geometry.lift`` from fresh Gaussian
+        rows, independent of the labels and of each other.  Any other
+        source gets full d-dimensional draws.  Either way the labels,
+        the Chow mean and a point have the law they have on full draws,
+        and only the oracle reads w*.
         """
         if chow and n < 1:
             raise ValueError("a Chow mean needs at least one sample")
@@ -324,19 +313,15 @@ class MembershipOracle:
             X = law.points(Z)
             labels = self.query_batch(X)
             return GaussianBatch(labels, Z.T @ labels / n if chow else None, X.__getitem__)
-        E = _span_basis(self.source.target.w, law.v)
+        E = span_basis(self.source.target.w, law.v)
         P = self.gaussian_points(n, dim=E.shape[0])
         X = P @ law.linear(E)
         if law.center is not None:
             X += law.center
         labels = self.query_batch(X)
-
-        def off_span() -> np.ndarray:
-            g = self.gaussian_points(1)[0]
-            return g - (E @ g) @ E
-
-        g = (P.T @ labels) @ E / n + off_span() / math.sqrt(n) if chow else None
-        return GaussianBatch(labels, g, lambda i: law.points((P[i] @ E + off_span())[None, :])[0])
+        # the labeled sum of the z's other coordinates is exactly N(0, n (I - E^T E))
+        g = lift(P.T @ labels / n, E, self.gaussian_points(1)[0] / math.sqrt(n)) if chow else None
+        return GaussianBatch(labels, g, lambda i: law.points(lift(P[i : i + 1], E, self.gaussian_points(1)))[0])
 
 
 def localized_query_batch(oracle: MembershipOracle, v: np.ndarray, s: float, sigma: float, Z: np.ndarray) -> np.ndarray:
@@ -379,8 +364,8 @@ class SmallClassOracle:
     proportional to rate(r) phi(r), a mixture of normals truncated to the
     law's pieces: a piece is picked by its negative mass, r is drawn in
     it by inverse CDF (Devroye 1986, ch. II; pieces above 0 are mirrored
-    into the lower tail), and r is lifted to x = r w* + g - (g.w*) w*
-    with fresh g ~ N(0, I_d).  That reaches any depth whose mass is a
+    into the lower tail), and r is lifted to x by ``geometry.lift`` with
+    a fresh N(0, I_d) row off span{w*}.  That reaches any depth whose mass is a
     positive double (t = 20, p ~ 3e-89, costs what t = 1 does).
 
     Other sources (``RegionFlip``) are sampled by rejection from full
@@ -406,7 +391,7 @@ class SmallClassOracle:
 
     def __post_init__(self):
         self._rng = substream(self.seed, "small-class")
-        law = self.source.margin_law()
+        law = _margin_law(self.source)
         self._pieces = None if law is None else _lower_tail_pieces(law)
         self._surplus = np.empty((0, self.source.dim))
 
@@ -435,10 +420,8 @@ class SmallClassOracle:
         # 1 - U lies in (0, 1], so the unbounded piece's inverse stays finite
         s = ndtri(cdf_a[k] + (1.0 - self._rng.random(n)) * width[k])
         r = sign[k] * np.clip(s, a[k], b[k])
-        w = self.source.target.w
-        X = self._rng.standard_normal((n, self.source.dim))
-        X += (r - X @ w)[:, None] * w
-        return X
+        G = self._rng.standard_normal((n, self.source.dim))
+        return lift(r[:, None], span_basis(self.source.target.w), G)
 
     def _rejected(self, n: int) -> np.ndarray:
         parts = [self._surplus]

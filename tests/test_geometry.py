@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from halfspace_lab.geometry import (
     Halfspace,
     chow_vector,
-    decompose,
     disagreement_mass,
     halfspace_bias,
     komatsu_bounds,
+    lift,
     localize_halfspace,
     sign_labels,
     smoothed_halfspace,
+    span_basis,
     sqrt_localization_apply,
     threshold_for_bias,
 )
@@ -141,6 +142,7 @@ class TestHalfspace:
     def test_tie_resolves_to_plus_one(self):
         h = Halfspace(np.array([1.0, 0.0]), 0.0)
         assert h(np.array([0.0, 3.0])) == 1
+        assert h(np.array([[0.0, 3.0], [-1.0, 0.0]])).tolist() == [1, -1]
         assert sign_labels(0.0) == 1
 
     def test_batch_and_scalar_agree(self, rng):
@@ -172,26 +174,41 @@ class TestChow:
         assert np.allclose(c, np.linalg.norm(c) * h.w)
 
 
-class TestDecompose:
+class TestSpanBasis:
     @given(st.integers(2, 8), st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
-    def test_reconstruction(self, d, seed):
-        rng = substream(seed, "decompose-prop")
+    def test_orthonormal_rows_v_first_w_inside(self, d, seed):
+        rng = substream(seed, "span-basis-prop")
         w = unit_vector(rng, d)
         v = unit_vector(rng, d)
-        dec = decompose(w, v)
-        assert np.linalg.norm(dec.a * v + dec.b * dec.u - w) < 1e-9
-        assert abs(float(np.dot(dec.u, v))) < 1e-9
-        assert dec.b >= 0.0
-        assert dec.a ** 2 + dec.b ** 2 == pytest.approx(1.0, abs=1e-9)
+        E = span_basis(w, v)
+        assert E.shape == (2, d)
+        assert np.allclose(E @ E.T, np.eye(2), atol=1e-12)
+        assert np.array_equal(E[0], v)
+        # w's coordinates in E rebuild it
+        assert np.linalg.norm((E @ w) @ E - w) < 1e-12
 
     def test_aligned_case(self, rng):
-        # (anti)parallel directions have no orthogonal part: b = 0, u = 0
+        # (anti)parallel directions, or no v at all, span one row
         v = unit_vector(rng, 6)
         for sign in (1.0, -1.0):
-            dec = decompose(sign * v, v)
-            assert (dec.a, dec.b) == (pytest.approx(sign), 0.0)
-            assert np.array_equal(dec.u, np.zeros(6))
+            assert np.array_equal(span_basis(sign * v, v), v[None, :])
+        assert np.array_equal(span_basis(v), v[None, :])
+
+
+class TestLift:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_coordinates_in_span_and_part_off_it(self, rng, k):
+        d, n = 7, 30
+        E = span_basis(unit_vector(rng, d), unit_vector(rng, d) if k == 2 else None)
+        P = rng.standard_normal((n, k))
+        G = rng.standard_normal((n, d))
+        X = lift(P, E, G)
+        assert np.allclose(X @ E.T, P, rtol=0, atol=1e-12)
+        off = lambda Y: Y - (Y @ E.T) @ E
+        assert np.allclose(off(X), off(G), rtol=0, atol=1e-12)
+        # one row lifts as it does in a batch
+        assert np.allclose(lift(P[0], E, G[0]), X[0], rtol=0, atol=1e-12)
 
 
 class TestLocalization:

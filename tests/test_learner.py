@@ -89,6 +89,17 @@ class TestConfig:
             "refine.c_stop", "refine.grad_samples_multiplier",
         ])
 
+    @pytest.mark.parametrize("name,kwargs", [
+        ("epsilon", dict(epsilon=1.0)),
+        ("epsilon", dict(epsilon=1.5)),
+        ("delta", dict(epsilon=0.02, delta=1.0)),
+        ("delta", dict(epsilon=0.02, delta=1.5)),
+    ])
+    def test_rejects_probabilities_of_one_or_more(self, name, kwargs):
+        # at or past 1, epsilon and delta would run no restarts or divide by log(1) = 0
+        with pytest.raises(ValueError, match=name):
+            LearnerConfig(**kwargs)
+
     def test_default_restarts_capped(self):
         assert LearnerConfig(epsilon=1e-6).restarts() == 40
 

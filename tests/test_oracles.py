@@ -288,6 +288,21 @@ class TestSmallClass:
         law, so the sampler takes its rejection path."""
         return make_oracle(t=t, d=d, source_cls=RegionFlip, region=lambda X: np.zeros(X.shape[0], dtype=bool)).source
 
+    def test_labels_only_source_takes_rejection_path(self):
+        # a source with dim and sample_labels alone, as MembershipOracle accepts
+        inner = make_oracle(t=threshold_for_bias(0.05)).source
+
+        class LabelsOnly:
+            dim = inner.dim
+
+            def sample_labels(self, X, rng):
+                return inner.sample_labels(X, rng)
+
+        sc = SmallClassOracle(LabelsOnly(), seed=7)
+        X = sc.draw_batch(200)
+        assert sc.proposals > 0
+        assert np.all(inner.sample_labels(X, substream(9, "check")) == -1)
+
     def test_unreachable_raises(self):
         sc = SmallClassOracle(self.rejection_source(20.0), seed=0, attempt_cap=10_000)
         with pytest.raises(SmallClassUnreachable):
