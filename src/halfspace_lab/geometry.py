@@ -36,6 +36,8 @@ _UNIT_TOL = 1e-9
 
 def sign_labels(values: np.ndarray | float) -> np.ndarray | int:
     """Sign with the +1 tie convention: sign(0) := +1."""
+    if isinstance(values, np.ndarray):
+        return np.where(values >= 0, 1, -1)
     if np.isscalar(values):
         return 1 if values >= 0 else -1
     return np.where(np.asarray(values) >= 0, 1, -1)
@@ -149,8 +151,13 @@ def span_basis(w: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
         return w[None, :]
     u = w - (w @ v) * v
     u -= (u @ v) * v
-    norm = float(np.linalg.norm(u))
-    return v[None, :] if norm <= 1e-12 else np.stack([v, u / norm])
+    norm = math.sqrt(u @ u)
+    if norm <= 1e-12:
+        return v[None, :]
+    E = np.empty((2, v.shape[0]))
+    E[0] = v
+    np.divide(u, norm, out=E[1])
+    return E
 
 
 def lift(P: np.ndarray, E: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -94,7 +94,7 @@ class CleanLabels(LabelSource):
         return ((-math.inf, -self.target.t, 1.0),)
 
     def sample_labels(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return np.asarray(self.target(np.atleast_2d(X)))
+        return self.target(np.atleast_2d(X))
 
 
 @dataclass
@@ -282,7 +282,8 @@ class MembershipOracle:
         if not np.isfinite(X).all():
             raise ValueError("query points must be finite")
         self._charge(X.shape[0])
-        return self.label_sign * self.source.sample_labels(X, self._rng)
+        labels = self.source.sample_labels(X, self._rng)
+        return labels if self.label_sign == 1 else self.label_sign * labels
 
     def gaussian_points(self, n: int, dim: int | None = None) -> np.ndarray:
         """Fresh standard Gaussian points (no ledger cost until queried),
@@ -315,7 +316,10 @@ class MembershipOracle:
             return GaussianBatch(labels, Z.T @ labels / n if chow else None, X.__getitem__)
         E = span_basis(self.source.target.w, law.v)
         P = self.gaussian_points(n, dim=E.shape[0])
-        X = P @ law.linear(E)
+        L = law.linear(E)
+        # built as the transpose of a (d, n) product, so that its loops and
+        # the labels' X @ w* run along n rather than along the short d
+        X = (np.multiply.outer(L[0], P[:, 0]) if L.shape[0] == 1 else L.T @ P.T).T
         if law.center is not None:
             X += law.center
         labels = self.query_batch(X)

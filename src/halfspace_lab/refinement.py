@@ -323,21 +323,20 @@ def refine_round(
     m = gradient_sample_size(state.w.shape[0], total_rounds, cfg, delta)
     batch = oracle.gaussian_queries(m, GaussianLaw.localized(state.w, t_tilde, sigma), chow=True)
     g = batch.chow
-    neg_rate = float(np.mean(batch.labels == -1))
+    neg_rate = np.count_nonzero(batch.labels == -1) / m
     g_v = float(g @ state.w)
     g_perp = g - g_v * state.w
-    norm_perp = float(np.linalg.norm(g_perp))
+    norm_perp = math.sqrt(g_perp @ g_perp)
     mu = sigma / cfg.c1
     stepped = state.w + mu * g_perp
-    w_next = stepped / np.linalg.norm(stepped)
+    w_next = stepped / math.sqrt(stepped @ stepped)
 
     r_v, r_perp = chow_radii(m, state.w.shape[0], delta / (total_rounds + 1))
     shift = noise_shift(epsilon, sigma, t_tilde)
     bound = certified_sine(sigma, mu, g_v, norm_perp, r_v + shift)
     sigma_next = min((1.0 - 1.0 / cfg.c2) * sigma, CERTIFICATE_SLACK * bound)
     tan_lo = sigma * max(0.0, norm_perp - r_perp - shift) / (abs(g_v) + r_v + shift)
-    return replace(
-        state,
+    return RefineState(
         w=w_next,
         sigma=max(floor, sigma_next),
         round=state.round + 1,

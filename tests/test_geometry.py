@@ -196,6 +196,54 @@ class TestSpanBasis:
         assert np.array_equal(span_basis(v), v[None, :])
 
 
+def span_basis_reference(w, v=None):
+    """span_basis as np.stack and np.linalg.norm wrote it."""
+    if v is None:
+        return w[None, :]
+    u = w - (w @ v) * v
+    u -= (u @ v) * v
+    norm = float(np.linalg.norm(u))
+    return v[None, :] if norm <= 1e-12 else np.stack([v, u / norm])
+
+
+class TestBitIdentical:
+    """span_basis and sign_labels against the expressions they replace."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 20])
+    def test_span_basis(self, rng, d):
+        for _ in range(50):
+            w, v = unit_vector(rng, d), unit_vector(rng, d)
+            cases = [(w, v), (w, None), (v, v), (-v, v), (rotated_from(v, 1e-13, rng) if d > 1 else v, v)]
+            for a, b in cases:
+                new, old = span_basis(a, b), span_basis_reference(a, b)
+                assert new.shape == old.shape and new.dtype == old.dtype
+                assert np.array_equal(new, old)
+
+    def test_sign_labels(self, rng):
+        ties = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324])
+        arrays = [
+            rng.standard_normal(1000),
+            rng.standard_normal((40, 3)),
+            ties,
+            rng.standard_normal((1, 7)),
+            np.array(0.0),
+            np.array(-0.0),
+            np.array(-2.5),
+            np.array([], dtype=float),
+        ]
+        for values in arrays:
+            new, old = sign_labels(values), np.where(np.asarray(values) >= 0, 1, -1)
+            assert isinstance(new, np.ndarray)
+            assert new.shape == old.shape and new.dtype == old.dtype
+            assert np.array_equal(new, old)
+        for value in [0.0, -0.0, 3.0, -3.0, 2, -2, np.float64(-0.0), np.float64(-1e-300)] + list(ties):
+            new = sign_labels(value)
+            assert type(new) is int
+            assert new == int(np.where(np.asarray(value) >= 0, 1, -1))
+        # a list takes the general path
+        assert np.array_equal(sign_labels([0.0, -1.0]), np.array([1, -1]))
+
+
 class TestLift:
     @pytest.mark.parametrize("k", [1, 2])
     def test_coordinates_in_span_and_part_off_it(self, rng, k):

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from scipy.special import erfcx, ndtr
 
-from halfspace_lab.geometry import Halfspace, disagreement_mass, halfspace_bias, threshold_for_bias
+from halfspace_lab.geometry import (
+    Halfspace,
+    disagreement_mass,
+    halfspace_bias,
+    lift,
+    span_basis,
+    threshold_for_bias,
+)
 from halfspace_lab.oracles import (
     EVAL_BLOCK,
     BoundaryBand,
@@ -236,6 +243,38 @@ class TestGaussianChannel:
         Q = np.linalg.qr(np.column_stack([w_star, rng.standard_normal((d, d))]))[0]
         chosen = GaussianLaw() if law == "standard" else GaussianLaw.smoothed(x0, 0.6)
         self.assert_agree(exact, general, chosen, {"along": w_star, "complement": Q[:, 1]})
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("law", ["standard", "smoothed", "localized"])
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    @pytest.mark.parametrize("kind", sorted(SOURCES))
+    def test_labels_do_not_depend_on_the_batch_layout(self, kind, d, law, sign):
+        # the span channel builds a batch column-major, as the transpose of
+        # a (d, n) product; the row-major P @ law.linear(E) + c of the same
+        # draws, labeled through query_batch, must read the same
+        n, seed = 3000, 7 * d + (sign < 0)
+        rng = substream(seed, "channel-layout")
+        source = self.SOURCES[kind](Halfspace(unit_vector(rng, d), 1.0))
+        w_star = source.target.w
+        chosen = {
+            "standard": lambda: GaussianLaw(),
+            "smoothed": lambda: GaussianLaw.smoothed(rng.standard_normal(d), 0.6),
+            "localized": lambda: GaussianLaw.localized(rotated_from(w_star, 0.5, rng) if d > 1 else -w_star, 0.8, 0.3),
+        }[law]()
+        channel, rows = MembershipOracle(source, seed), MembershipOracle(source, seed)
+        channel.label_sign = rows.label_sign = sign
+        batch = channel.gaussian_queries(n, chosen, chow=True)
+        E = span_basis(w_star, chosen.v)
+        P = rows.gaussian_points(n, dim=E.shape[0])
+        X = P @ chosen.linear(E)
+        if chosen.center is not None:
+            X += chosen.center
+        assert X.flags.c_contiguous
+        labels = rows.query_batch(X)
+        chow = lift(P.T @ labels / n, E, rows.gaussian_points(1)[0] / math.sqrt(n))
+        assert np.array_equal(batch.labels, labels)
+        assert channel.ledger == rows.ledger == n
+        assert np.allclose(batch.chow, chow, rtol=0, atol=1e-12)
 
     def test_points_get_their_other_coordinates(self):
         # the negative points a batch hands out: labeled as the batch says,
