@@ -38,9 +38,7 @@ def sign_labels(values: np.ndarray | float) -> np.ndarray | int:
     """Sign with the +1 tie convention: sign(0) := +1."""
     if isinstance(values, np.ndarray):
         return np.where(values >= 0, 1, -1)
-    if np.isscalar(values):
-        return 1 if values >= 0 else -1
-    return np.where(np.asarray(values) >= 0, 1, -1)
+    return 1 if values >= 0 else -1
 
 
 def _as_unit(w: np.ndarray) -> np.ndarray:
@@ -152,12 +150,7 @@ def span_basis(w: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
     u = w - (w @ v) * v
     u -= (u @ v) * v
     norm = math.sqrt(u @ u)
-    if norm <= 1e-12:
-        return v[None, :]
-    E = np.empty((2, v.shape[0]))
-    E[0] = v
-    np.divide(u, norm, out=E[1])
-    return E
+    return v[None, :] if norm <= 1e-12 else np.array([v, u / norm])
 
 
 def lift(P: np.ndarray, E: np.ndarray, G: np.ndarray) -> np.ndarray:

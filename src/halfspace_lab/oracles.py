@@ -282,8 +282,7 @@ class MembershipOracle:
         if not np.isfinite(X).all():
             raise ValueError("query points must be finite")
         self._charge(X.shape[0])
-        labels = self.source.sample_labels(X, self._rng)
-        return labels if self.label_sign == 1 else self.label_sign * labels
+        return self.label_sign * self.source.sample_labels(X, self._rng)
 
     def gaussian_points(self, n: int, dim: int | None = None) -> np.ndarray:
         """Fresh standard Gaussian points (no ledger cost until queried),

@@ -240,8 +240,6 @@ class TestBitIdentical:
             new = sign_labels(value)
             assert type(new) is int
             assert new == int(np.where(np.asarray(value) >= 0, 1, -1))
-        # a list takes the general path
-        assert np.array_equal(sign_labels([0.0, -1.0]), np.array([1, -1]))
 
 
 class TestLift:

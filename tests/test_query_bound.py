@@ -12,29 +12,21 @@ from passive learning (about d/eps labels).
   and answers the constant +1, at a cost of a constant times 1/eps.
 
 Targets come from ``substream(seed, "eps-target")``, the oracle seed is
-the seed, and errors are exact (``bench/reference.disagreement``).  The
+the seed, and errors are exact (``geometry.disagreement_mass``).  The
 README records the measured table next to the bars below.
 """
 
-import importlib.util
 import statistics
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from halfspace_lab.geometry import Halfspace, threshold_for_bias
+from halfspace_lab.geometry import Halfspace, disagreement_mass, threshold_for_bias
 from halfspace_lab.learner import LearnerConfig, learn
 from halfspace_lab.oracles import CleanLabels, MembershipOracle
 from halfspace_lab.rng import substream
 
 from conftest import unit_vector
-
-_spec = importlib.util.spec_from_file_location(
-    "bench_reference", Path(__file__).resolve().parent.parent / "bench" / "reference.py"
-)
-reference = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(reference)
 
 EPS = (0.04, 0.02, 0.01, 0.005, 0.0025, 0.00125)
 DIMS = (10, 20)
@@ -57,8 +49,7 @@ def run(d, eps, seed, t):
     """(total queries, verdict, exact error) of one learn."""
     target = Halfspace(unit_vector(substream(seed, "eps-target"), d), t)
     report = learn(MembershipOracle(CleanLabels(target), seed), LearnerConfig(epsilon=eps, restarts_per_gridpoint=1))
-    err = reference.disagreement(target.w, target.t, report.hypothesis.w, report.hypothesis.t)
-    return report.total_queries, report.verdict, err
+    return report.total_queries, report.verdict, disagreement_mass(target, report.hypothesis)
 
 
 @pytest.fixture(scope="module")
