@@ -17,6 +17,7 @@ that close, so every pair it votes on gets its full m_pair points.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -98,15 +99,17 @@ class RunReport:
     verdict: str  # learned | constant_plus_one | budget
     err_estimate: float
     err_se: float
-    queries_bias: int
-    queries_init: int
-    queries_refine: int
-    queries_tournament: int
     total_queries: int
-    small_class_draws: int
-    rounds: int
     candidates: list
     flipped: bool = False
+    # the counters ``learn`` fills, each 0 until it counts: each stage's
+    # queries are the ledger's change over that stage's calls
+    queries_bias: int = 0
+    queries_init: int = 0
+    queries_refine: int = 0
+    queries_tournament: int = 0
+    small_class_draws: int = 0
+    rounds: int = 0
     # attempts: failed warm starts plus descents that ran to their end;
     # those that ended without a candidate are split by cause
     attempts: int = 0
@@ -247,13 +250,6 @@ def medoid(candidates: list[Halfspace]) -> Halfspace:
     return candidates[int(np.argmin(totals))]
 
 
-# RunReport's counters, which ``learn`` fills
-_COUNTERS = (
-    "queries_bias", "queries_init", "queries_refine", "queries_tournament",
-    "small_class_draws", "rounds", "attempts", "init_failures", "offset_failures", "restarts_run",
-)
-
-
 def _error_and_se(oracle: MembershipOracle, h: Halfspace, m: int, purpose: str) -> tuple[float, float]:
     """Error of h against the oracle's source, and its standard error (0 when exact)."""
     err = estimate_error(oracle.source, h, m, oracle.seed, purpose)
@@ -289,8 +285,17 @@ def _learn(oracle: MembershipOracle, cfg: LearnerConfig, small_class: SmallClass
     d = oracle.dim
     start = oracle.ledger
     sc_draws0 = small_class.draws if small_class is not None else 0
-    n = dict.fromkeys(_COUNTERS, 0)
+    n = collections.Counter()
     flipped = False
+
+    def charged(counter, stage, *args, **kwargs):
+        """stage(*args, **kwargs), its ledger change added to n[counter]
+        whether it returns or raises."""
+        mark = oracle.ledger
+        try:
+            return stage(*args, **kwargs)
+        finally:
+            n[counter] += oracle.ledger - mark
 
     def finish(h, verdict, cands):
         if flipped:
@@ -312,17 +317,16 @@ def _learn(oracle: MembershipOracle, cfg: LearnerConfig, small_class: SmallClass
 
     try:
         # orientation probe: flip the labels when the negative side is the majority
-        probe = oracle.gaussian_queries(200).labels
+        probe = charged("queries_bias", oracle.gaussian_queries, 200).labels
         flipped = bool(np.mean(probe == -1) > 0.5)
         oracle.label_sign = -1 if flipped else 1
         sc = None if flipped else small_class
         if sc is not None:
             bias = _bias_from_small_class(sc, BIAS_FROM_SMALL_CLASS_DRAWS)
         else:
-            bias = estimate_bias_doubling(oracle, cfg.epsilon, cfg.delta)
+            bias = charged("queries_bias", estimate_bias_doubling, oracle, cfg.epsilon, cfg.delta)
     except BudgetExceeded:
         bias = None
-    n["queries_bias"] = oracle.ledger - start
     if bias is None or bias.is_small:
         h = constant_plus_one_hypothesis(d)
         return finish(h, "constant_plus_one", [h])
@@ -340,31 +344,19 @@ def _learn(oracle: MembershipOracle, cfg: LearnerConfig, small_class: SmallClass
             n["restarts_run"] += 1
             # warm-start at the top grid point, falling back down the grid
             # when the start fails or the descent rejects it at entry
-            descent = None
             for t_init in reversed(grid):
-                mark = oracle.ledger
                 try:
-                    w0 = init_unextreme(oracle, t_init, cfg.epsilon, sc)
-                except InitFailure:
-                    n["attempts"] += 1
-                    n["init_failures"] += 1
-                    continue
-                finally:
-                    n["queries_init"] += oracle.ledger - mark
-                mark = oracle.ledger
-                try:
-                    descent = refine(
-                        oracle, w0, grid[-1], cfg.epsilon, cfg.delta, cfg.refine, sigma0=entry_scale(t_init)
+                    w0 = charged("queries_init", init_unextreme, oracle, t_init, cfg.epsilon, sc)
+                    h, state = charged(
+                        "queries_refine", refine, oracle, w0, grid[-1], cfg.epsilon, cfg.delta, cfg.refine,
+                        sigma0=entry_scale(t_init),
                     )
                     break
-                except EntryRejected:
+                except (InitFailure, EntryRejected):
                     n["attempts"] += 1
                     n["init_failures"] += 1
-                finally:
-                    n["queries_refine"] += oracle.ledger - mark
-            if descent is None:
+            else:
                 continue
-            h, state = descent
             n["rounds"] += state.round
             if h is None and oracle.spent:
                 # stopped by the budget before it accepted an offset
@@ -383,11 +375,9 @@ def _learn(oracle: MembershipOracle, cfg: LearnerConfig, small_class: SmallClass
         h = constant_plus_one_hypothesis(d)
         return finish(h, "constant_plus_one", [h])
 
-    mark = oracle.ledger
     if oracle.spent:
         # a spent oracle refuses every vote: pick without queries
         winner = medoid(candidates)
     else:
-        winner = tournament(leaders, oracle, cfg.epsilon, cfg.delta)
-    n["queries_tournament"] = oracle.ledger - mark
+        winner = charged("queries_tournament", tournament, leaders, oracle, cfg.epsilon, cfg.delta)
     return finish(winner, "learned", list(candidates))

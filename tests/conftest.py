@@ -3,9 +3,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import halfspace_lab.learner as learner
 import halfspace_lab.refinement as refinement
 from halfspace_lab import Halfspace
-from halfspace_lab.oracles import WhiteBoxView
+from halfspace_lab.oracles import MembershipOracle, WhiteBoxView
 from halfspace_lab.refinement import RefineConfig, RefineState
 from halfspace_lab.rng import substream
 
@@ -85,3 +86,60 @@ def round_spy(monkeypatch):
 
     monkeypatch.setattr(refinement, "refine_round", spy)
     return records
+
+
+# the stages a ledger mark is taken around: (module, global it calls)
+LEDGER_STAGES = {
+    "bias": (learner, "estimate_bias_doubling"),
+    "init": (learner, "init_unextreme"),
+    "refine": (learner, "refine"),
+    "round": (refinement, "refine_round"),
+    "tournament": (learner, "tournament"),
+}
+# unbudgeted runs already marked, by run and arguments
+_MARKS: dict = {}
+
+
+class LedgerMarks(dict):
+    """stage -> (ledger at start, ledger at end) of each of its calls, in
+    call order: one descent per "refine" pair, one round per "round" pair."""
+
+    def halfway(self, stage: str, k: int = 0) -> int:
+        """A budget halfway through the k-th call of stage: a run with it
+        meets its refused query in that call."""
+        start, end = self[stage][k]
+        return (start + end) // 2
+
+
+@pytest.fixture
+def ledger_marks():
+    """Return marks(run, **kwargs): the LedgerMarks of run(**kwargs), a
+    run without a budget, wrapping each LEDGER_STAGES global as
+    ``round_spy`` does.  run is a module-level function that takes the
+    budget as a keyword too, so a budget test runs the same learn with a
+    budget read off the marks.  Each run is marked once per session."""
+
+    def marks(run, **kwargs):
+        key = (run.__module__, run.__qualname__, tuple(sorted(kwargs.items())))
+        if key not in _MARKS:
+            found = LedgerMarks({stage: [] for stage in LEDGER_STAGES})
+            with pytest.MonkeyPatch.context() as mp:
+                for stage, (module, name) in LEDGER_STAGES.items():
+                    mp.setattr(module, name, _marked(getattr(module, name), found[stage]))
+                run(**kwargs)
+            _MARKS[key] = found
+        return _MARKS[key]
+
+    return marks
+
+
+def _marked(fn, spans):
+    def wrapped(*args, **kwargs):
+        oracle = next(a for a in args if isinstance(a, MembershipOracle))
+        start = oracle.ledger
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spans.append((start, oracle.ledger))
+
+    return wrapped

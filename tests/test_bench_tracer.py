@@ -5,14 +5,22 @@ rename in the library breaks a traced benchmark run.  One test enters
 and leaves ``Tracer.installed()`` and checks that every target was
 patched inside and is restored after; another checks that every
 exception the tracer counts as an expected failure, which it names by
-class name, is still a library exception.
+class name, is still a library exception.  A third traces a learn and
+checks that its stage spans charge what ``RunReport`` counts per stage.
 """
 
 import importlib
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import halfspace_lab
+import halfspace_lab.learner as learner
+from halfspace_lab import CleanLabels, Halfspace, LearnerConfig, MembershipOracle
+from halfspace_lab.rng import substream
+
+from conftest import spread_offsets, unit_vector
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -44,3 +52,26 @@ def test_expected_error_names_are_library_exceptions(monkeypatch):
     names = [name for errors in tracing._EXPECTED_ERRORS.values() for name in errors]
     assert names
     assert all(name in classes for name in names), set(names) - set(classes)
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+def test_stage_spans_equal_the_report_stage_counts(restarts, monkeypatch):
+    # the tracer patches the module globals learn calls each stage by, so
+    # a learn that stopped looking them up would leave its spans empty.
+    # With three restarts the candidates' offsets are spread 0.1 apart so
+    # that none joins another and the leaders reach a vote
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    monkeypatch.setattr(learner, "refine", spread_offsets(learner.refine, (0.0, 0.1, 0.2)))
+    w_star = unit_vector(substream(0, "learner-setup"), 10)
+    oracle = MembershipOracle(CleanLabels(Halfspace(w_star, 1.0)), 0)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        report = learner.learn(oracle, LearnerConfig(epsilon=0.02, restarts_per_gridpoint=restarts))
+    spans = tracing.layer_metrics(tracer.spans)
+    # the bias ladder's span leaves out the 200-query orientation probe
+    assert spans["estimation.bias_ladder.queries"] == report.queries_bias - 200
+    assert spans["initialization.init.queries"] == report.queries_init > 0
+    assert spans["refinement.refine.queries"] == report.queries_refine > 0
+    assert spans["learner.tournament.queries"] == report.queries_tournament
+    assert (report.queries_tournament > 0) == (restarts > 1)

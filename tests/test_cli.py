@@ -17,7 +17,7 @@ from halfspace_lab.cli import (
     parse_overrides,
 )
 from halfspace_lab.geometry import Halfspace, threshold_for_bias
-from halfspace_lab.oracles import BoundaryBand, CleanLabels, RandomFlip
+from halfspace_lab.oracles import BoundaryBand, CleanLabels, RandomFlip, WhiteBoxView
 
 from conftest import spread_offsets
 
@@ -36,6 +36,22 @@ LEARN_COLUMNS = [
     "total_queries", "queries_bias", "queries_init", "queries_refine",
     "queries_tournament", "small_class_draws", "rounds",
 ]
+
+
+def cli_learn(seed, restarts, tstar=1.0, spread=False, budget=None, out=None):
+    """main on a learn at d=10, eps=0.02, with --budget and --out when
+    given; spread moves the candidates' offsets 0.1 apart, so that none
+    joins another and the restarts run on to a vote."""
+    argv = [
+        "--mode", "learn", "--dim", "10", "--tstar", str(tstar), "--epsilon", "0.02",
+        "--seed", str(seed), "--set", f"restarts_per_gridpoint={restarts}",
+    ]
+    argv += [] if budget is None else ["--budget", str(budget)]
+    argv += [] if out is None else ["--out", str(out)]
+    with pytest.MonkeyPatch.context() as mp:
+        if spread:
+            mp.setattr(learner, "refine", spread_offsets(learner.refine, (0.0, 0.1, 0.2)))
+        return main(argv)
 
 
 def read_csv(path):
@@ -194,7 +210,10 @@ class TestMainModes:
         assert runs[0] == runs[1]
 
     def test_readme_one_restart_learn_pinned(self, tmp_path):
-        # the README's first learn with one restart: a change to what the
+        # golden pin, one of the two a change to the random streams
+        # re-pins (with test_readme_example_stops_on_agreement); every
+        # budget test derives its budget from ledger_marks instead.  The
+        # README's first learn with one restart: a change to what the
         # learner queries shows up here as a plain diff
         out = tmp_path / "learn.csv"
         assert main([
@@ -303,72 +322,70 @@ class TestMainModes:
         ])
         assert code == 2
 
-    def test_budget_checked_before_each_descent_round(self, tmp_path):
-        # the budget runs out inside the first descent (ledger 9,643 to
-        # 56,546 unbudgeted): the oracle refuses the batch that would pass
-        # it and the row counts the rounds run
+    def test_budget_checked_before_each_descent_round(self, tmp_path, ledger_marks):
+        # the budget runs out halfway through the first descent: the oracle
+        # refuses the batch that would pass it and the row counts the rounds run
+        budget = ledger_marks(cli_learn, seed=0, restarts=1).halfway("refine")
         out = tmp_path / "budget.csv"
-        code = main([
-            "--mode", "learn", "--dim", "10", "--tstar", "1.0", "--epsilon", "0.02",
-            "--seed", "0", "--budget", "50000", "--set", "restarts_per_gridpoint=1",
-            "--out", str(out),
-        ])
+        code = cli_learn(seed=0, restarts=1, budget=budget, out=out)
         assert code == 2
         header, rows = read_csv(out)
         row = dict(zip(header, rows[0]))
         assert row["verdict"] == "budget"
-        assert int(row["total_queries"]) <= 50_000
+        assert int(row["total_queries"]) <= budget
         assert int(row["rounds"]) > 0
 
-    def test_budget_spent_in_tournament_exits_2(self, tmp_path, monkeypatch):
+    def test_budget_spent_in_tournament_exits_2(self, tmp_path, ledger_marks):
         # three restarts, whose candidates' offsets are spread 0.1 apart so
-        # that none joins another, reach the tournament at ledger 149,878;
-        # the vote over their three leaders (260 queries a pair) would end
-        # at 150,658, and the budget refuses its second pair
-        monkeypatch.setattr(learner, "refine", spread_offsets(learner.refine, (0.0, 0.1, 0.2)))
+        # that none joins another, reach a vote over their three leaders;
+        # the budget runs out halfway through it, so the vote's first pair
+        # is taken and a later one refused
+        budget = ledger_marks(cli_learn, seed=4, restarts=3, spread=True).halfway("tournament")
         out = tmp_path / "budget.csv"
-        code = main([
-            "--mode", "learn", "--dim", "10", "--tstar", "1.0", "--epsilon", "0.02",
-            "--seed", "4", "--budget", "150158", "--set", "restarts_per_gridpoint=3",
-            "--out", str(out),
-        ])
+        code = cli_learn(seed=4, restarts=3, spread=True, budget=budget, out=out)
         assert code == 2
         header, rows = read_csv(out)
         row = dict(zip(header, rows[0]))
         assert row["verdict"] == "budget"
         assert int(row["queries_tournament"]) > 0
-        assert int(row["total_queries"]) <= 150_158
+        assert int(row["total_queries"]) <= budget
 
-    def test_spent_oracle_skips_the_tournament(self, tmp_path, monkeypatch):
-        # the budget runs out in the second restart's descent (ledger
-        # 59,150 to 99,424 at t* = 1, 62,938 to 99,424 at t* = -1), whose
-        # candidate takes the closed-form offset of its last complete round:
-        # no vote can be taken, so the medoid of the candidates by exact
-        # disagreement mass wins without sampling a single disagreement
-        # point.  At t* = -1 the learner flips the labels on the oracle it
-        # also asks whether it is spent
+    def test_spent_oracle_skips_the_tournament(self, tmp_path, monkeypatch, ledger_marks):
+        # the budget runs out halfway through the second restart's descent,
+        # whose candidate takes the closed-form offset of its last complete
+        # round: no vote can be taken, so the medoid of the candidates by
+        # exact disagreement mass wins without sampling a single
+        # disagreement point.  The run reaches the end of the last round
+        # that fits the budget.  At t* = -1 the learner flips the labels on
+        # the oracle it also asks whether it is spent
+        marks = {tstar: ledger_marks(cli_learn, seed=0, restarts=2, tstar=tstar) for tstar in (1.0, -1.0)}
         calls, descents = [], []
         sample, refine = learner.sample_disagreement, learner.refine
+
+        def spy(oracle, *args, **kwargs):
+            descents.append((oracle, oracle.label_sign, *refine(oracle, *args, **kwargs)))
+            return descents[-1][2:]
+
         monkeypatch.setattr(
             learner, "sample_disagreement", lambda *args: calls.append(args) or sample(*args)
         )
-        monkeypatch.setattr(
-            learner, "refine", lambda *args, **kwargs: descents.append(refine(*args, **kwargs)) or descents[-1]
-        )
+        monkeypatch.setattr(learner, "refine", spy)
         out = tmp_path / "budget.csv"
-        for tstar, err, total in [("1.0", "0.0004510844119", "89954"), ("-1.0", "0.0006128938111", "89954")]:
+        for tstar, marked in marks.items():
+            budget = marked.halfway("refine", 1)
             descents.clear()
-            code = main([
-                "--mode", "learn", "--dim", "10", "--tstar", tstar, "--epsilon", "0.02",
-                "--seed", "0", "--budget", "90000", "--set", "restarts_per_gridpoint=2",
-                "--out", str(out),
-            ])
+            code = cli_learn(seed=0, restarts=2, tstar=tstar, budget=budget, out=out)
             assert code == 2
             assert calls == []
-            h, state = descents[-1]
+            oracle, sign, h, state = descents[-1]
             assert state.round > 0
             assert h.t == state.t_cf
+            winner = learner.medoid([c for _, _, c, _ in descents if c is not None])
+            err = WhiteBoxView(oracle.source).true_error(winner if sign == 1 else winner.flipped())
+            reached = max(end for _, end in marked["round"] if end <= budget)
             header, rows = read_csv(out)
             row = dict(zip(header, rows[0]))
-            assert (row["verdict"], row["err_estimate"], row["total_queries"]) == ("budget", err, total)
+            assert (row["verdict"], row["err_estimate"], row["total_queries"]) == (
+                "budget", cli._fmt(err), str(reached)
+            )
             assert row["queries_tournament"] == "0"

@@ -55,6 +55,20 @@ def stage_sum(report):
     )
 
 
+def learn_d10(restarts, budget=None):
+    """learn at d=10, t=1, seed 0: the budget tests' learn."""
+    oracle = make_oracle(t=1.0, d=10, seed=0, budget=budget)
+    return oracle, learn(oracle, LearnerConfig(epsilon=0.02, restarts_per_gridpoint=restarts))
+
+
+def spread_learn(restarts, budget=None):
+    """learn_d10 with the candidates' offsets spread 0.1 apart, so that
+    none joins another and the restarts run on to a vote."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learner, "refine", spread_offsets(learner.refine, (0.0, 0.1, 0.2)))
+        return learn_d10(restarts, budget)
+
+
 FAST = LearnerConfig(epsilon=0.02, delta=0.1, restarts_per_gridpoint=1)
 # learn-smallclass's large-threshold setting (t* = 2.5, d = 5)
 SMALLCLASS = LearnerConfig(
@@ -63,11 +77,14 @@ SMALLCLASS = LearnerConfig(
 )
 
 
-def failing_first(init, tried):
-    """init, but the first warm start, whose threshold goes to tried first, fails."""
+def failing_first(init, tried, restart=False):
+    """init, but the first warm start fails, or with restart every warm
+    start of the first restart: each at a threshold not tried before.
+    Every threshold tried goes to tried first."""
     def wrapped(oracle, t, *args):
+        new = t not in tried
         tried.append(t)
-        if len(tried) == 1:
+        if len(tried) == 1 or (restart and new):
             raise InitFailure("first try fails")
         return init(oracle, t, *args)
     return wrapped
@@ -354,7 +371,10 @@ class TestSampleDisagreement:
 
 class TestLearn:
     def test_readme_example_stops_on_agreement(self):
-        # the README's example (default restarts, a cap of 36 at eps = 0.02):
+        # golden pin, one of the two a change to the random streams
+        # re-pins (with test_cli's test_readme_one_restart_learn_pinned);
+        # every budget test derives its budget from ledger_marks instead.
+        # The README's example (default restarts, a cap of 36 at eps = 0.02):
         # the second candidate joins the first, the restarts stop there, and
         # the one leader wins without a vote.  A change to the restart count
         # or to what the learner queries shows up here as a plain diff
@@ -468,6 +488,23 @@ class TestLearn:
         assert report.attempts == (
             len(report.candidates) + report.init_failures + report.offset_failures
         )
+        assert report.verdict == "learned"
+
+    def test_restart_whose_warm_starts_all_fail_runs_the_next(self, monkeypatch):
+        # every grid point of the first restart fails to warm-start, so it
+        # runs no descent; the second starts again at the top grid point
+        tried = []
+        monkeypatch.setattr(learner, "init_unextreme", failing_first(learner.init_unextreme, tried, restart=True))
+        oracle = make_oracle(t=1.0, d=5, seed=3)
+        report = learn(oracle, LearnerConfig(epsilon=0.02, restarts_per_gridpoint=2))
+        first_restart = tried.index(tried[0], 1)
+        assert first_restart > 1
+        assert report.restarts_run == 2
+        assert report.init_failures == first_restart
+        assert report.attempts == (
+            len(report.candidates) + report.init_failures + report.offset_failures
+        )
+        assert stage_sum(report) == report.total_queries == oracle.ledger
         assert report.verdict == "learned"
 
     def test_warm_start_rejected_at_entry_falls_back(self, monkeypatch):
@@ -699,24 +736,21 @@ class TestLearn:
         assert report.verdict == "budget"
         assert report.total_queries <= 5000
 
-    # the unbudgeted learn at d=10, t=1, seed 0 spends 7,039 queries on
-    # the probe and bias ladder, then 2,604 per warm start; with three
-    # restarts whose candidates' offsets are spread 0.1 apart, so that
-    # none joins another, it reaches the tournament at ledger 141,355, and
-    # the vote over its three leaders (260 queries a pair) ends at 142,135;
-    # with one restart its descent runs from ledger 9,643 to 56,546
-    @pytest.mark.parametrize("budget,restarts,stage", [
-        (150, 1, "probe"),
-        (2_000, 1, "bias"),
-        (8_100, 1, "init"),
-        (50_000, 1, "refine"),
-        (141_717, 3, "tournament"),
+    # each budget falls halfway through its stage in the same learn run
+    # without a budget, so the oracle refuses a batch of that stage: the
+    # bias ladder's, the first warm start's, the first descent's, or the
+    # vote's, whose three restarts' candidates are spread 0.1 apart so that
+    # none joins another.  The probe's 150 lies below its fixed 200 queries
+    @pytest.mark.parametrize("restarts,stage", [
+        (1, "probe"),
+        (1, "bias"),
+        (1, "init"),
+        (1, "refine"),
+        (3, "tournament"),
     ])
-    def test_budget_is_a_hard_ceiling(self, budget, restarts, stage, monkeypatch):
-        monkeypatch.setattr(learner, "refine", spread_offsets(learner.refine, (0.0, 0.1, 0.2)))
-        oracle = make_oracle(t=1.0, d=10, seed=0, budget=budget)
-        cfg = LearnerConfig(epsilon=0.02, restarts_per_gridpoint=restarts)
-        report = learn(oracle, cfg)
+    def test_budget_is_a_hard_ceiling(self, restarts, stage, ledger_marks):
+        budget = 150 if stage == "probe" else ledger_marks(spread_learn, restarts=restarts).halfway(stage)
+        oracle, report = spread_learn(restarts=restarts, budget=budget)
         assert oracle.spent
         assert report.verdict == "budget"
         assert oracle.ledger <= budget
@@ -735,12 +769,12 @@ class TestLearn:
         produced = 0 if fallback else len(report.candidates)
         assert report.attempts == produced + report.init_failures + report.offset_failures
 
-    def test_budget_stop_in_a_descent_keeps_its_offset(self, monkeypatch):
-        # the budget runs out in the second restart's descent (ledger
-        # 59,150 to 97,530 unbudgeted), after some rounds: that descent's
-        # last state, with its last complete round's closed-form offset, is
-        # a candidate taken without a further query, and it is no offset
-        # failure
+    def test_budget_stop_in_a_descent_keeps_its_offset(self, monkeypatch, ledger_marks):
+        # the budget runs out halfway through the second restart's descent,
+        # after some rounds: that descent's last state, with its last
+        # complete round's closed-form offset, is a candidate taken without
+        # a further query, and it is no offset failure
+        budget = ledger_marks(learn_d10, restarts=2).halfway("refine", 1)
         states = []
 
         def spy(*args, **kwargs):
@@ -749,10 +783,9 @@ class TestLearn:
             return h, state
 
         monkeypatch.setattr(learner, "refine", spy)
-        oracle = make_oracle(t=1.0, d=10, seed=0, budget=90_000)
-        report = learn(oracle, LearnerConfig(epsilon=0.02, restarts_per_gridpoint=2))
+        oracle, report = learn_d10(restarts=2, budget=budget)
         assert report.verdict == "budget"
-        assert oracle.ledger <= 90_000
+        assert oracle.ledger <= budget
         assert len(states) == len(report.candidates) == 2
         last = report.candidates[-1]
         assert states[-1].round > 0

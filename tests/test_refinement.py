@@ -163,7 +163,7 @@ class TestRefine:
         oracle, w0, view = setup_problem(d=6, seed=2, angle=0.8)
         eps = 0.05
         h, state = refine(oracle, w0, 1.0, eps, 0.1)
-        sigma_final = min(0.5, eps * math.exp(0.5))
+        sigma_final = min(0.5, RefineConfig().c_stop * eps * math.exp(0.5))
         assert state.sigma <= sigma_final + 1e-12
         assert view.half_angle_sine(h.w) <= state.sigma
         assert view.true_error(h) <= 5 * eps
@@ -305,24 +305,33 @@ class TestDescent:
         h, _ = refine(oracle, w0, self.T_TOP, self.EPS, 0.1)
         assert view.true_error(h) <= self.EPS
 
-    def test_ledger_cap_stops_before_a_round(self, monkeypatch):
-        oracle, w0, _ = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
-        cap = 50_000
-        oracle.budget = cap
+    def test_ledger_cap_stops_before_a_round(self, monkeypatch, ledger_marks):
+        # the cap falls halfway through the middle round of the same
+        # descent run without one
+        marks = ledger_marks(capped_descent)
+        k = len(marks["round"]) // 2
+        cap = marks.halfway("round", k)
         searches = self.spy_searches(monkeypatch)
-        h, state = refine(oracle, w0, self.T_TOP, self.EPS, 0.1)
+        oracle, (h, state) = capped_descent(budget=cap)
         # the oracle refused a batch mid-round: the descent returns the
         # rounds it completed, charges nothing past the budget, and takes
         # its last complete round's closed-form offset as the hypothesis
         # without a search
         assert oracle.spent
-        assert state.round > 0
+        assert state.round == k > 0
         assert oracle.ledger <= cap
         # the entry search is the descent's only one
         [t_entry] = searches
         expected = Halfspace(state.w, state.t_cf)
         assert (h.w.tolist(), h.t) == (expected.w.tolist(), expected.t)
         assert state.t_cf != t_entry
+
+
+def capped_descent(budget=None):
+    """One descent at d=10, t*=1 from a warm start 0.6 off, under budget."""
+    oracle, w0, _ = setup_problem(d=10, t=1.0, angle=0.6, seed=5)
+    oracle.budget = budget
+    return oracle, refine(oracle, w0, TestDescent.T_TOP, TestDescent.EPS, 0.1)
 
 
 # the Chow sample these certificate checks were sized for: four times the
