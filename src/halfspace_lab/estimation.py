@@ -2,7 +2,10 @@
 
 Three tools: a geometric-ladder bias estimator that brackets the
 minority-class mass p in about 1,120/p queries by growing one sample per
-repetition down the ladder, an in/out Hoeffding window check for
+repetition down the ladder (each level's new points for all repetitions
+go to the Gaussian channel together, in blocks of at most LADDER_BLOCK
+rows, which draw exactly what one call per repetition would), an in/out
+Hoeffding window check for
 probabilities, and the empirical Chow vector estimator over given
 points (the learner's Chow means come from the oracle's Gaussian
 channel, ``MembershipOracle.gaussian_queries``).
@@ -40,6 +43,9 @@ LADDER_THRESHOLD_FACTOR = 5.0 / 6.0
 # returned estimate sits below the stopping level by this factor so the
 # bracket covers the stopping-rule slack under boosting noise
 RETURN_SHRINK = 0.7
+# most rows a ladder level sends to the Gaussian channel in one call: one
+# call per level would take more peak memory and run slower
+LADDER_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -71,8 +77,14 @@ def estimate_bias_doubling(
     Levels p_hat_i = (4/5)^i / 2.  Each of O(log 1/delta) repetitions
     keeps one growing sample and its negative count: at level i its
     sample grows from n_{i-1} to n_i = ceil(SAMPLES_PER_LEVEL / p_hat_i)
-    points, and only the n_i - n_{i-1} new ones are queried, in one
-    batch.  The level passes when the count reaches (5/6) p_hat_i n_i in
+    points, and only the n_i - n_{i-1} new ones are queried.  A level's
+    new points for all repetitions are laid out repetition after
+    repetition and queried in consecutive calls of at most LADDER_BLOCK
+    rows; the channel draws split-invariantly (row after row, and a
+    label source's randomness one row at a time), so this draws, labels
+    and charges exactly what one call per repetition would, and a
+    budget that runs out stops the ladder on a block boundary.  The
+    level passes when the count reaches (5/6) p_hat_i n_i in
     a majority of the repetitions.  Stop at the first passing level, or
     declare the bias small once the ladder descends below
     C_SMALL * epsilon.  The ladder costs reps * n_last queries, about
@@ -89,7 +101,7 @@ def estimate_bias_doubling(
         raise ValueError("epsilon and delta must lie in (0, 1)")
     start = oracle.ledger
     reps = 2 * max(1, math.ceil(math.log(1.0 / delta))) + 1
-    counts = [0] * reps
+    counts = np.zeros(reps, dtype=np.int64)
     n = 0
     level = 0
     while True:
@@ -97,12 +109,15 @@ def estimate_bias_doubling(
         if p_hat < C_SMALL * epsilon:
             return BiasEstimate("small", p_hat, oracle.ledger - start)
         n_next = math.ceil(SAMPLES_PER_LEVEL / p_hat)
-        for r in range(reps):
-            labels = oracle.gaussian_queries(n_next - n).labels
-            counts[r] += int(np.count_nonzero(labels == -1))
+        rows = reps * (n_next - n)
+        negative = np.concatenate([
+            oracle.gaussian_queries(min(LADDER_BLOCK, rows - s)).labels == -1
+            for s in range(0, rows, LADDER_BLOCK)
+        ])
+        counts += np.count_nonzero(negative.reshape(reps, -1), axis=1)
         n = n_next
         threshold = LADDER_THRESHOLD_FACTOR * p_hat * n
-        if 2 * sum(c >= threshold for c in counts) > reps:
+        if 2 * np.count_nonzero(counts >= threshold) > reps:
             return BiasEstimate(
                 "bracket", RETURN_SHRINK * p_hat, oracle.ledger - start
             )

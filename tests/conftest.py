@@ -35,17 +35,21 @@ def rotated_from(w: np.ndarray, angle: float, rng: np.random.Generator) -> np.nd
 
 
 def spread_offsets(refine, shifts):
-    """refine, but the k-th candidate's offset is moved by shifts[k]
-    (candidates past the last shift are kept): descents that would agree
-    yield candidates far enough apart that the restarts run on and vote."""
-    yielded = []
+    """refine, but the k-th candidate of each learn (each oracle, the
+    first argument) has its offset moved by shifts[k] (candidates past the
+    last shift are kept): descents that would agree yield candidates far
+    enough apart that the restarts run on and vote."""
+    oracle, yielded = None, 0
 
     def wrapped(*args, **kwargs):
+        nonlocal oracle, yielded
+        if args[0] is not oracle:
+            oracle, yielded = args[0], 0
         h, state = refine(*args, **kwargs)
         if h is not None:
-            if len(yielded) < len(shifts):
-                h = Halfspace(h.w, h.t + shifts[len(yielded)])
-            yielded.append(h)
+            if yielded < len(shifts):
+                h = Halfspace(h.w, h.t + shifts[yielded])
+            yielded += 1
         return h, state
 
     return wrapped

@@ -1,19 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
 from halfspace_lab.estimation import (
     C_SMALL,
     LADDER_BASE,
+    LADDER_BLOCK,
     LADDER_THRESHOLD_FACTOR,
     RETURN_SHRINK,
     SAMPLES_PER_LEVEL,
+    BiasEstimate,
     empirical_projected_chow,
     estimate_bias_doubling,
     probability_window_check,
     window_check_samples,
 )
 from halfspace_lab.geometry import Halfspace, chow_vector, threshold_for_bias
-from halfspace_lab.oracles import CleanLabels, MembershipOracle
+from halfspace_lab.oracles import BoundaryBand, CleanLabels, MembershipOracle, RandomFlip, RegionFlip
 from halfspace_lab.rng import substream
 
 
@@ -38,6 +42,29 @@ class LabelSpy(MembershipOracle):
 
 def spy_oracle(p, seed=0, d=3):
     return LabelSpy(make_oracle(p, seed, d).source, seed)
+
+
+def per_rep_ladder(oracle, epsilon, delta):
+    """The bias ladder with one channel call per repetition per level, as
+    it was before the blocks: what the blocked ladder must equal."""
+    start = oracle.ledger
+    reps = 2 * max(1, math.ceil(math.log(1.0 / delta))) + 1
+    counts = [0] * reps
+    n = 0
+    level = 0
+    while True:
+        p_hat = 0.5 * LADDER_BASE ** level
+        if p_hat < C_SMALL * epsilon:
+            return BiasEstimate("small", p_hat, oracle.ledger - start)
+        n_next = math.ceil(SAMPLES_PER_LEVEL / p_hat)
+        for r in range(reps):
+            labels = oracle.gaussian_queries(n_next - n).labels
+            counts[r] += int(np.count_nonzero(labels == -1))
+        n = n_next
+        threshold = LADDER_THRESHOLD_FACTOR * p_hat * n
+        if 2 * sum(c >= threshold for c in counts) > reps:
+            return BiasEstimate("bracket", RETURN_SHRINK * p_hat, oracle.ledger - start)
+        level += 1
 
 
 class TestBiasDoubling:
@@ -66,30 +93,69 @@ class TestBiasDoubling:
         oracle = spy_oracle(p)
         est = estimate_bias_doubling(oracle, epsilon=eps, delta=delta)
         assert est.verdict == verdict
-        tested, rest = divmod(len(oracle.batches), reps)
-        assert tested > 0 and rest == 0
-        levels = [0.5 * LADDER_BASE ** i for i in range(tested + 1)]
-        n = [int(np.ceil(SAMPLES_PER_LEVEL / q)) for q in levels[:tested]]
-        # level i makes exactly reps batches of the n_i - n_{i-1} new rows,
-        # none larger than the fresh sample of 1000 + n_i a level once took
-        for i in range(tested):
-            level = oracle.batches[i * reps:(i + 1) * reps]
-            assert [len(b) for b in level] == [n[i] - (n[i - 1] if i else 0)] * reps
-            assert max(len(b) for b in level) <= 1000 + n[i]
-        assert est.queries_used == oracle.ledger == reps * n[-1]
-        # recount each level's majority from the stored labels: only the
+        # level i queries reps * (n_i - n_{i-1}) new rows, rep after rep, in
+        # consecutive calls of LADDER_BLOCK rows and one of the rest; read
+        # the levels tested off the calls
+        sizes = [len(b) for b in oracle.batches]
+        stream = np.concatenate(oracle.batches)
+        levels, n, slices = [], [0], []
+        calls = 0
+        while calls < len(sizes):
+            levels.append(0.5 * LADDER_BASE ** len(levels))
+            n.append(math.ceil(SAMPLES_PER_LEVEL / levels[-1]))
+            step = n[-1] - n[-2]
+            full, rest = divmod(reps * step, LADDER_BLOCK)
+            level_calls = [LADDER_BLOCK] * full + [rest] * (rest > 0)
+            assert sizes[calls:calls + len(level_calls)] == level_calls
+            calls += len(level_calls)
+            # rep r's slice of the level: its n_i - n_{i-1} new rows, none
+            # more than the fresh sample of 1000 + n_i a level once took
+            slices.append(stream[reps * n[-2]:reps * n[-1]].reshape(reps, step))
+            assert step <= 1000 + n[-1]
+        tested = len(levels)
+        levels.append(0.5 * LADDER_BASE ** tested)
+        # the small-bias ladder reaches levels that take more than one block
+        assert (len(sizes) > tested) == (verdict == "small")
+        assert est.queries_used == oracle.ledger == len(stream) == reps * n[-1]
+        # recount each level's majority from the reps' slices: only the
         # last level tested may pass, and it passes exactly on a bracket
         for i in range(tested):
             counts = [
-                sum(int(np.count_nonzero(oracle.batches[j * reps + r] == -1)) for j in range(i + 1))
+                sum(int(np.count_nonzero(slices[j][r] == -1)) for j in range(i + 1))
                 for r in range(reps)
             ]
-            passes = sum(c >= LADDER_THRESHOLD_FACTOR * levels[i] * n[i] for c in counts)
+            passes = sum(c >= LADDER_THRESHOLD_FACTOR * levels[i] * n[i + 1] for c in counts)
             assert (2 * passes > reps) == (verdict == "bracket" and i == tested - 1)
         if verdict == "bracket":
             assert est.p_hat == RETURN_SHRINK * levels[-2]
         else:
             assert est.p_hat == levels[-1] < C_SMALL * eps <= levels[-2]
+
+    @pytest.mark.parametrize("p", [0.3, 0.05, 0.006])
+    @pytest.mark.parametrize("kind", ["clean", "flip", "band", "region"])
+    def test_blocks_draw_what_one_call_per_rep_draws(self, kind, p):
+        # the general d-dimensional path (RegionFlip) and the span path,
+        # with and without a label source that draws randomness per row
+        target = Halfspace(np.array([0.6, 0.0, 0.8]), threshold_for_bias(p))
+        source = {
+            "clean": CleanLabels(target),
+            "flip": RandomFlip(target, 0.1),
+            "band": BoundaryBand(target, 0.05),
+            "region": RegionFlip(target, lambda X: X[:, 1] > 2.5),
+        }[kind]
+        eps, delta = 0.001, 0.1
+        blocked, reference = LabelSpy(source, 5), MembershipOracle(source, 5)
+        est = estimate_bias_doubling(blocked, eps, delta)
+        calls = [len(b) for b in blocked.batches]
+        assert est == per_rep_ladder(reference, eps, delta)
+        assert blocked.ledger == reference.ledger == est.queries_used
+        # both streams end at the same place
+        assert np.array_equal(blocked.gaussian_queries(5).labels, reference.gaussian_queries(5).labels)
+        assert np.array_equal(blocked.gaussian_points(2), reference.gaussian_points(2))
+        assert max(calls) <= LADDER_BLOCK
+        if p == 0.006 and kind != "flip":
+            # a level's reps * (n_i - n_{i-1}) rows took more than one block
+            assert max(calls) == LADDER_BLOCK
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from scipy.special import erfcx, ndtr
 import halfspace_lab.initialization as initialization
 import halfspace_lab.learner as learner
 import halfspace_lab.refinement as refinement
+from halfspace_lab.estimation import LADDER_BASE, LADDER_BLOCK, SAMPLES_PER_LEVEL
 from halfspace_lab.geometry import Halfspace, disagreement_mass, threshold_for_bias
 from halfspace_lab.initialization import InitFailure
 from halfspace_lab.learner import (
@@ -75,6 +76,13 @@ SMALLCLASS = LearnerConfig(
     epsilon=0.001, restarts_per_gridpoint=1, grid_step=1.0,
     refine=RefineConfig(c_stop=10.0, grad_samples_multiplier=10.0),
 )
+
+
+def smallclass_learn(budget=None):
+    """An unaided learn in learn-smallclass's setting (p about 0.0062),
+    whose bias ladder reaches levels of more than one channel block."""
+    oracle = make_oracle(t=2.5, d=5, seed=3, budget=budget)
+    return oracle, learn(oracle, SMALLCLASS)
 
 
 def failing_first(init, tried, restart=False):
@@ -768,6 +776,39 @@ class TestLearn:
         fallback = report.hypothesis.t == constant_plus_one_hypothesis(10).t
         produced = 0 if fallback else len(report.candidates)
         assert report.attempts == produced + report.init_failures + report.offset_failures
+
+    def test_budget_stop_in_a_ladder_block(self, ledger_marks):
+        # the budget runs out part-way through the second channel block of
+        # the first ladder level whose reps * (n_i - n_{i-1}) new rows take
+        # more than one block: the ladder stops at the end of the level's
+        # first block, not at the end of a repetition's rows
+        start, end = ledger_marks(smallclass_learn)["bias"][0]
+        reps = 2 * math.ceil(math.log(1.0 / SMALLCLASS.delta)) + 1
+        level, n_prev = 0, 0
+        while True:
+            n = math.ceil(SAMPLES_PER_LEVEL / (0.5 * LADDER_BASE ** level))
+            if reps * (n - n_prev) > LADDER_BLOCK:
+                break
+            level, n_prev = level + 1, n
+        level_start = start + reps * n_prev
+        assert level_start + reps * (n - n_prev) <= end
+        second_end = level_start + min(2 * LADDER_BLOCK, reps * (n - n_prev))
+        budget = (level_start + LADDER_BLOCK + second_end) // 2
+        oracle, report = smallclass_learn(budget=budget)
+        assert oracle.spent
+        assert report.verdict == "budget"
+        assert report.queries_init == report.queries_refine == 0
+        assert report.queries_bias == report.total_queries == oracle.ledger
+        assert oracle.ledger == level_start + LADDER_BLOCK <= budget
+
+    def test_one_spread_wrapper_serves_two_learns(self, monkeypatch):
+        # the wrapper counts candidates afresh for each oracle, so a second
+        # learn through it is spread as the first is and votes too
+        monkeypatch.setattr(learner, "refine", spread_offsets(learner.refine, (0.0, 0.1, 0.2)))
+        for _ in range(2):
+            _, report = learn_d10(restarts=3)
+            assert report.restarts_run == len(report.candidates) == 3
+            assert report.queries_tournament > 0
 
     def test_budget_stop_in_a_descent_keeps_its_offset(self, monkeypatch, ledger_marks):
         # the budget runs out halfway through the second restart's descent,
