@@ -1,20 +1,21 @@
 """Query-frugal statistical estimators.
 
 Three tools: a geometric-ladder bias estimator that brackets the
-minority-class mass p in about 1,120/p queries by growing one sample per
-repetition down the ladder (each level's new points for all repetitions
+minority-class mass p in about 750/p queries by growing one sample per
+repetition down the ladder and testing, at each level, only the
+repetitions that can still change its majority vote (their new points
 go to the Gaussian channel together, in blocks of at most LADDER_BLOCK
 rows, which draw exactly what one call per repetition would), an in/out
-Hoeffding window check for
-probabilities, and the empirical Chow vector estimator over given
-points (the learner's Chow means come from the oracle's Gaussian
-channel, ``MembershipOracle.gaussian_queries``).
+Hoeffding window check for probabilities, and the empirical Chow vector
+estimator over given points (the learner's Chow means come from the
+oracle's Gaussian channel, ``MembershipOracle.gaussian_queries``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -75,53 +76,78 @@ def estimate_bias_doubling(
     """Bracket the negative-label mass p by descending a geometric ladder.
 
     Levels p_hat_i = (4/5)^i / 2.  Each of O(log 1/delta) repetitions
-    keeps one growing sample and its negative count: at level i its
-    sample grows from n_{i-1} to n_i = ceil(SAMPLES_PER_LEVEL / p_hat_i)
-    points, and only the n_i - n_{i-1} new ones are queried.  A level's
-    new points for all repetitions are laid out repetition after
+    keeps one growing sample and its negative count.  A repetition
+    tested at level i grows its sample from its own last size to
+    n_i = ceil(SAMPLES_PER_LEVEL / p_hat_i) points, querying only the
+    new ones, and passes when its count reaches (5/6) p_hat_i n_i.  The
+    level passes when a majority of the repetitions pass, and the
+    repetitions are tested in order only until the vote is decided:
+    first the reps // 2 + 1 that could decide it alone, then as many
+    more as need - max(passed, failed) leaves open, until one side has
+    a majority.  A batch's new points are laid out repetition after
     repetition and queried in consecutive calls of at most LADDER_BLOCK
     rows; the channel draws split-invariantly (row after row, and a
     label source's randomness one row at a time), so this draws, labels
     and charges exactly what one call per repetition would, and a
-    budget that runs out stops the ladder on a block boundary.  The
-    level passes when the count reaches (5/6) p_hat_i n_i in
-    a majority of the repetitions.  Stop at the first passing level, or
-    declare the bias small once the ladder descends below
-    C_SMALL * epsilon.  The ladder costs reps * n_last queries, about
-    1,120/p at delta = 0.1, where n_last belongs to the last level tested.
+    budget that runs out stops the ladder on a block boundary.  Stop at
+    the first passing level, or declare the bias small once the ladder
+    descends below C_SMALL * epsilon.  The ladder costs at most
+    reps * n_last queries, where n_last belongs to the last level
+    tested, and about 750/p at delta = 0.1.
 
     Why reuse keeps the guarantee: at each level, every repetition's
     test still sees n_i i.i.d. fresh queries, and the repetitions draw
-    disjoint points, so they stay independent of each other.  Each
-    level's error probability is therefore what a fresh sample would
-    give.  Only the dependence across levels changes, and the guarantee
-    only union-bounds over levels, which needs no independence.
+    disjoint points, so they stay independent of each other.  A
+    repetition skipped at earlier levels catches up to n_i the next
+    time it is tested, so its test is the one it would have run had it
+    been queried at every level.  Each level's verdict is therefore the
+    majority over all repetitions of those tests, whichever were left
+    untested once the vote was decided, and its error probability is
+    what a fresh sample would give.  Only the dependence across levels
+    changes, and the guarantee only union-bounds over levels, which
+    needs no independence.
     """
     if not (0.0 < epsilon < 1.0 and 0.0 < delta < 1.0):
         raise ValueError("epsilon and delta must lie in (0, 1)")
     start = oracle.ledger
     reps = 2 * max(1, math.ceil(math.log(1.0 / delta))) + 1
-    counts = np.zeros(reps, dtype=np.int64)
-    n = 0
+    need = reps // 2 + 1
+    # each repetition's sample size and negative count
+    sizes, counts = [0] * reps, [0] * reps
     level = 0
     while True:
         p_hat = 0.5 * LADDER_BASE ** level
         if p_hat < C_SMALL * epsilon:
             return BiasEstimate("small", p_hat, oracle.ledger - start)
-        n_next = math.ceil(SAMPLES_PER_LEVEL / p_hat)
-        rows = reps * (n_next - n)
-        negative = np.concatenate([
-            oracle.gaussian_queries(min(LADDER_BLOCK, rows - s)).labels == -1
-            for s in range(0, rows, LADDER_BLOCK)
-        ])
-        counts += np.count_nonzero(negative.reshape(reps, -1), axis=1)
-        n = n_next
+        n = math.ceil(SAMPLES_PER_LEVEL / p_hat)
         threshold = LADDER_THRESHOLD_FACTOR * p_hat * n
-        if 2 * np.count_nonzero(counts >= threshold) > reps:
+        tested = passed = 0
+        while max(passed, tested - passed) < need:
+            batch = range(tested, tested + need - max(passed, tested - passed))
+            _grow(oracle, n, batch, sizes, counts)
+            passed += sum(counts[r] >= threshold for r in batch)
+            tested = batch.stop
+        if passed >= need:
             return BiasEstimate(
                 "bracket", RETURN_SHRINK * p_hat, oracle.ledger - start
             )
         level += 1
+
+
+def _grow(oracle, n: int, batch: range, sizes: list, counts: list) -> None:
+    """Grow the sample of each repetition in batch to n points: their new
+    points go to the Gaussian channel rep after rep, in calls of at most
+    LADDER_BLOCK rows, and each block's negatives are counted per rep
+    from its boolean mask."""
+    # where each rep's new points start and end in the batch's rows
+    edges = list(accumulate((n - sizes[r] for r in batch), initial=0))
+    for s in range(0, edges[-1], LADDER_BLOCK):
+        negative = oracle.gaussian_queries(min(LADDER_BLOCK, edges[-1] - s)).labels == -1
+        for r, a, b in zip(batch, edges, edges[1:]):
+            if a < s + len(negative) and b > s:
+                counts[r] += int(np.count_nonzero(negative[max(a - s, 0) : b - s]))
+    for r in batch:
+        sizes[r] = n
 
 
 @dataclass(frozen=True)

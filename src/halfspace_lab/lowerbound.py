@@ -14,6 +14,9 @@ import numpy as np
 
 from .geometry import Halfspace
 
+# most bytes of pool rows near_isometry_stat gathers at once
+GATHER_BYTES = 1 << 20
+
 __all__ = [
     "Pool",
     "RandomOrder",
@@ -59,7 +62,10 @@ def near_isometry_stat(
 
     Small values certify that every sampled subset is nearly orthogonal
     with rows of norm about sqrt(d).  Sampling is a one-sided check; the
-    exhaustive subset count is astronomical.
+    exhaustive subset count is astronomical.  Every tuple's rows are
+    drawn first, one ``rng.choice`` a tuple; the Gram matrices and their
+    eigenvalues are then computed over chunks of tuples whose gathered
+    rows take at most about GATHER_BYTES.
     """
     points = np.asarray(points, dtype=float)
     m, d = points.shape
@@ -67,16 +73,16 @@ def near_isometry_stat(
         raise ValueError("need 1 <= k <= min(m, d)")
     if tuples < 1:
         raise ValueError("need at least one sampled tuple")
-    worst = 0.0
-    eye = np.eye(k)
-    for _ in range(tuples):
-        idx = rng.choice(m, size=k, replace=False)
-        A = points[idx]
-        gram = A @ A.T - d * eye
-        # spectral norm from the k x k eigensystem, never the d x d one
-        top = float(np.max(np.abs(np.linalg.eigvalsh(gram))))
-        worst = max(worst, top / d)
-    return worst
+    idx = np.array([rng.choice(m, size=k, replace=False) for _ in range(tuples)])
+    chunk = max(1, GATHER_BYTES // (k * d * points.itemsize))
+
+    def top(rows):
+        # one chunk's rows are freed before the next chunk's are gathered
+        A = points[rows]
+        # spectral norms from the k x k eigensystems, never the d x d ones
+        return np.max(np.abs(np.linalg.eigvalsh(A @ A.transpose(0, 2, 1) - d * np.eye(k))))
+
+    return float(max(top(idx[s : s + chunk]) for s in range(0, tuples, chunk))) / d
 
 
 def negative_capture_prob(
@@ -93,6 +99,8 @@ def negative_capture_prob(
     drawn with trials * (r + 1) numbers: a call costs O(trials * k) time
     and memory, whatever d is.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     d = A.shape[1]
     _, R = np.linalg.qr(A.T)

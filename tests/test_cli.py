@@ -222,7 +222,7 @@ class TestMainModes:
         ]) == 0
         header, rows = read_csv(out)
         row = dict(zip(header, rows[0]))
-        assert (row["verdict"], row["total_queries"], row["err_estimate"]) == ("learned", "91738", "0.0003511454899")
+        assert (row["verdict"], row["total_queries"], row["err_estimate"]) == ("learned", "91621", "0.0003884955301")
 
     def test_selftest_mode(self, capsys):
         assert main(["--mode", "selftest"]) == 0

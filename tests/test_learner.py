@@ -12,7 +12,7 @@ from scipy.special import erfcx, ndtr
 import halfspace_lab.initialization as initialization
 import halfspace_lab.learner as learner
 import halfspace_lab.refinement as refinement
-from halfspace_lab.estimation import LADDER_BASE, LADDER_BLOCK, SAMPLES_PER_LEVEL
+from halfspace_lab.estimation import LADDER_BLOCK
 from halfspace_lab.geometry import Halfspace, disagreement_mass, threshold_for_bias
 from halfspace_lab.initialization import InitFailure
 from halfspace_lab.learner import (
@@ -83,6 +83,21 @@ def smallclass_learn(budget=None):
     whose bias ladder reaches levels of more than one channel block."""
     oracle = make_oracle(t=2.5, d=5, seed=3, budget=budget)
     return oracle, learn(oracle, SMALLCLASS)
+
+
+def channel_calls(run):
+    """(ledger before, rows) of each Gaussian channel call of run()."""
+    calls = []
+    queries = MembershipOracle.gaussian_queries
+
+    def spy(oracle, n, *args, **kwargs):
+        calls.append((oracle.ledger, n))
+        return queries(oracle, n, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MembershipOracle, "gaussian_queries", spy)
+        run()
+    return calls
 
 
 def failing_first(init, tried, restart=False):
@@ -389,7 +404,7 @@ class TestLearn:
         w = np.eye(20)[0]
         report = learn(MembershipOracle(CleanLabels(Halfspace(w, 1.0)), seed=7), LearnerConfig(epsilon=0.02))
         assert (report.total_queries, report.restarts_run, report.err_estimate) == (
-            168_309, 2, pytest.approx(4.465184636e-4, rel=1e-9)
+            168_192, 2, pytest.approx(3.862101197e-4, rel=1e-9)
         )
         assert len(report.candidates) == 2
         assert report.queries_tournament == 0
@@ -779,27 +794,21 @@ class TestLearn:
 
     def test_budget_stop_in_a_ladder_block(self, ledger_marks):
         # the budget runs out part-way through the second channel block of
-        # the first ladder level whose reps * (n_i - n_{i-1}) new rows take
-        # more than one block: the ladder stops at the end of the level's
-        # first block, not at the end of a repetition's rows
+        # the first batch of ladder reps whose new rows take more than one
+        # block: the ladder stops at the end of the batch's first block, not
+        # at the end of a repetition's rows
         start, end = ledger_marks(smallclass_learn)["bias"][0]
-        reps = 2 * math.ceil(math.log(1.0 / SMALLCLASS.delta)) + 1
-        level, n_prev = 0, 0
-        while True:
-            n = math.ceil(SAMPLES_PER_LEVEL / (0.5 * LADDER_BASE ** level))
-            if reps * (n - n_prev) > LADDER_BLOCK:
-                break
-            level, n_prev = level + 1, n
-        level_start = start + reps * n_prev
-        assert level_start + reps * (n - n_prev) <= end
-        second_end = level_start + min(2 * LADDER_BLOCK, reps * (n - n_prev))
-        budget = (level_start + LADDER_BLOCK + second_end) // 2
+        calls = [(at, n) for at, n in channel_calls(smallclass_learn) if start <= at < end]
+        k = next(k for k, (_, n) in enumerate(calls) if n == LADDER_BLOCK)
+        (block_start, _), (second_start, second) = calls[k], calls[k + 1]
+        assert second_start == block_start + LADDER_BLOCK
+        budget = second_start + second // 2
         oracle, report = smallclass_learn(budget=budget)
         assert oracle.spent
         assert report.verdict == "budget"
         assert report.queries_init == report.queries_refine == 0
         assert report.queries_bias == report.total_queries == oracle.ledger
-        assert oracle.ledger == level_start + LADDER_BLOCK <= budget
+        assert oracle.ledger == second_start <= budget
 
     def test_one_spread_wrapper_serves_two_learns(self, monkeypatch):
         # the wrapper counts candidates afresh for each oracle, so a second

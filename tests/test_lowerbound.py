@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import betainc
 
+from halfspace_lab import lowerbound
 from halfspace_lab.geometry import Halfspace, halfspace_bias, threshold_for_bias
 from halfspace_lab.lowerbound import (
     GreedyDirection,
@@ -147,6 +148,26 @@ class TestNearIsometry:
         with pytest.raises(ValueError):
             near_isometry_stat(rng.standard_normal((10, 5)), k=6, tuples=1, rng=rng)
 
+    @pytest.mark.parametrize("gather", [1, 30_000, lowerbound.GATHER_BYTES])
+    def test_chunks_give_what_one_tuple_at_a_time_gives(self, monkeypatch, gather):
+        # chunks of one tuple, of a few tuples with a short last chunk, and
+        # the default: the same statistic, bit for bit, and the same stream end
+        monkeypatch.setattr(lowerbound, "GATHER_BYTES", gather)
+        points = substream(8, "iso-chunks").standard_normal((300, 50))
+        rng, ref = substream(8, "iso-a"), substream(8, "iso-a")
+        worst = 0.0
+        for _ in range(97):
+            A = points[ref.choice(300, size=4, replace=False)]
+            worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(A @ A.T - 50 * np.eye(4))))) / 50)
+        assert near_isometry_stat(points, 4, 97, rng) == worst
+        assert rng.random() == ref.random()
+
+    def test_gathers_about_a_megabyte_at_a_time(self):
+        # criterion 12a's call: 500 tuples of 10 rows at d = 200 would gather 8 MB
+        points = substream(9, "iso-memory").standard_normal((2000, 200))
+        rng = substream(9, "iso-a")
+        assert traced_peak(lambda: near_isometry_stat(points, 10, 500, rng)) < 2e6
+
 
 class TestNegativeCapture:
     def test_zero_threshold_single_row(self):
@@ -194,6 +215,11 @@ class TestNegativeCapture:
         prob = negative_capture_prob(np.tile(x, (copies, 1)), 1.0, trials, substream(12, "cap-copies", d))
         p = capture_law(d, 1.0 / math.sqrt(d))
         assert abs(prob - p) <= 4.0 * math.sqrt(p * (1 - p) / trials)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_rejects_too_few_trials(self, trials):
+        with pytest.raises(ValueError, match="at least one trial"):
+            negative_capture_prob(np.ones((1, 5)), 1.0, trials, substream(0, "cap-bad"))
 
     def test_memory_does_not_grow_with_d(self):
         # criterion 12b's call: no (trials, d) array of directions

@@ -35,13 +35,13 @@ T_STAR = 1.0
 BRANCH_DIM = 10
 
 # Bars, each chosen from the measured medians:
-# queries at eps/32 over queries at eps: 1.79 (d = 10) and 2.16 (d = 20);
+# queries at eps/32 over queries at eps: 1.72 (d = 10) and 2.10 (d = 20);
 # a cost growing as 1/eps would read about 32
 MAX_GROWTH = 3.0
 # largest relative residual of a least-squares fit of the median queries
-# against ln(1/eps): 0.021 (d = 10) and 0.028 (d = 20)
+# against ln(1/eps): 0.032 (d = 10) and 0.056 (d = 20)
 MAX_LOG_RESIDUAL = 0.06
-# queries * eps on the p = eps/4 rows, largest over smallest: 1312 / 1158
+# queries * eps on the p = eps/4 rows, largest over smallest: 753 / 662
 MAX_BRANCH_SPREAD = 1.25
 
 
